@@ -12,15 +12,14 @@ previous answer, times every call and checks every answer against
 
 ``--trace 0`` prints the end-to-end metrics; ``setup_s`` is the median
 of three launches, each timed from process start to the answer to its
-first warm-up op.  ``--trace 1`` runs the workload untraced and then
-traced for half the time each and prints the per-layer metrics of the
-traced half (per timed op unless named per process) plus the tracing
-overhead.  The last stdout line is the result object; the line before it
-is the run's detail (host record, calibration, samples).
+first warm-up op.  ``--trace 1`` runs the workload traced and prints the
+per-layer metrics (per timed op unless named per process) plus the
+tracing overhead.  The last stdout line is the result object; the line
+before it is the run's detail (host record, calibration, samples).
 
 ``--ops N`` replaces the timed window with exactly N timed ops (the
-count-determinism check); ``--expected DIR`` and ``--plant NAME=FACTOR``
-exist for the self-test.
+count-determinism check); ``--expected DIR`` and ``--plant-slowdown``
+(a 2x slowdown around ``sim.apply_gate``) exist for the self-test.
 """
 
 from __future__ import annotations
@@ -115,10 +114,10 @@ class Program:
 
 
 class SweepProgram(Program):
-    def __init__(self, work: Path, trace: bool, plant):
+    def __init__(self, work: Path, trace: bool, slowdown: bool):
         cmd = [sys.executable, str(HERE / "sweep_program.py")]
         cmd += ["--trace"] if trace else []
-        cmd += [arg for p in plant for arg in ("--plant", p)]
+        cmd += ["--plant-slowdown"] if slowdown else []
         super().__init__(cmd, work, subprocess.PIPE)
 
     def call(self, op: dict) -> dict:
@@ -146,16 +145,16 @@ class SweepProgram(Program):
 class ServeProgram(Program):
     """``python -m repro serve --port 0`` with its default flags."""
 
-    def __init__(self, work: Path, trace: bool, plant):
+    def __init__(self, work: Path, trace: bool, slowdown: bool):
         args = ["serve", "--port", "0"]
         self.snap_dir = work / "snapshots"
         self.snaps = 0
-        if trace or plant:
+        if trace or slowdown:
             cmd = [sys.executable, str(HERE / "tracing.py")]
             if trace:
                 self.snap_dir.mkdir(exist_ok=True)
                 cmd += ["--snapshots", str(self.snap_dir)]
-            cmd += [arg for p in plant for arg in ("--plant", p)]
+            cmd += ["--plant-slowdown"] if slowdown else []
             cmd += ["--", *args]
         else:
             cmd = [sys.executable, "-m", "repro", *args]
@@ -187,7 +186,7 @@ class ServeProgram(Program):
             self.fail(f"request to serve failed: {exc!r}")
 
     def call(self, op: dict) -> dict:
-        return self._post("/request", op)
+        return {"answers": [self._post("/request", r) for r in op["requests"]]}
 
     def snapshot(self) -> dict:
         path = self.snap_dir / f"snap-{self.snaps}.json"
@@ -213,9 +212,9 @@ class ServeProgram(Program):
         super().close()
 
 
-def start_program(workload: str, work: Path, trace: bool, plant) -> Program:
+def start_program(workload: str, work: Path, trace: bool, slowdown: bool) -> Program:
     cls = ServeProgram if workload == "serve-compile" else SweepProgram
-    return cls(work, trace, plant)
+    return cls(work, trace, slowdown)
 
 
 class Tally:
@@ -241,7 +240,7 @@ def run_phase(workload, ops, tally, opts, work, *, trace, seconds, launches):
     try:
         for launch in range(launches):
             t0 = time.perf_counter()
-            program = start_program(workload, work, trace, opts.plant)
+            program = start_program(workload, work, trace, opts.plant_slowdown)
             answer = program.call(ops[0])
             setups.append(time.perf_counter() - t0)
             tally.check(ops[0], answer)
@@ -302,8 +301,13 @@ def end_to_end(phase: dict, tally: Tally) -> dict:
     }
 
 
-def per_layer(plain: dict, traced: dict) -> dict:
-    """Per-layer metrics of the traced phase (per timed op by default)."""
+def per_layer(traced: dict, wrapper_cost_s: float) -> dict:
+    """Per-layer metrics of the traced phase (per timed op by default).
+
+    ``wrapper_cost_s`` is the measured cost of one traced call over the
+    bare call; ``trace.overhead_frac`` is that cost times the traced
+    calls of the window, as a share of the window.
+    """
     n = len(traced["latencies"])
     before, after = traced["before"], traced["after"]
     zero = [0, 0.0, 0.0, 0, 0, 0]
@@ -352,20 +356,27 @@ def per_layer(plain: dict, traced: dict) -> dict:
     put("scheduling.plan_cache.lookups", plans[CALLS] / n, "count")
     put("scheduling.plan_cache.hit_ratio", ratio(plans[HITS], plans[CALLS]), "ratio")
     put("scheduling.plan_cache.evictions", plans[EVICT] / n, "count")
-    span("graphs.alpha_optimal_suppression", "calls", "busy_s")
     span("serve.handle", "busy_s")
     span("serve.schedule_digest", "busy_s")
     client_s = sum(traced["latencies"])
     handle = delta("serve.handle")[BUSY]
     put("serve.front_s", (client_s - handle) / n if handle else 0.0, "s")
-    # Set-up layers, summed over the traced process's whole life.
-    for name in ("circuits.compile_circuit", "pulses.build_library", "device.make_device"):
+    # Layers whose work lands in set-up (Algorithm 1 included: every plan
+    # of a workload is solved by its first op), summed over the traced
+    # process's whole life.
+    put(
+        "graphs.alpha_optimal_suppression.calls",
+        after.get("graphs.alpha_optimal_suppression", zero)[CALLS], "count",
+    )
+    for name in (
+        "graphs.alpha_optimal_suppression", "circuits.compile_circuit",
+        "pulses.build_library", "device.make_device",
+    ):
         put(f"{name}.busy_s", after.get(name, zero)[BUSY], "s")
     covered = sum(delta(name)[BUSY] - delta(name)[CHILD] for name in after)
     put("trace.unattributed_frac", 1.0 - covered / client_s, "ratio")
-    plain_rate = len(plain["latencies"]) / plain["window_s"]
-    traced_rate = n / traced["window_s"]
-    put("trace.overhead_frac", plain_rate / traced_rate - 1.0, "ratio")
+    calls = sum(delta(name)[CALLS] for name in after)
+    put("trace.overhead_frac", calls * wrapper_cost_s / traced["window_s"], "ratio")
     return out
 
 
@@ -384,13 +395,10 @@ def parse_args(argv=None):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--ops", type=int, default=0, help="timed ops instead of seconds")
     parser.add_argument("--expected", type=Path, default=None)
-    parser.add_argument("--plant", action="append", default=[], metavar="NAME=FACTOR")
-    opts = parser.parse_args(argv)
-    try:
-        tracing.parse_plant(opts.plant)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return opts
+    parser.add_argument(
+        "--plant-slowdown", action="store_true", help="run sim.apply_gate twice per call"
+    )
+    return parser.parse_args(argv)
 
 
 def _watchdog(signum, frame):
@@ -423,27 +431,17 @@ def main(argv=None) -> int:
     host_before = host.host_record()
     calibration_before = host.calibration_s()
     tally = Tally(opts.workload, expected)
-    phase_args = dict(opts=opts, work=work)
+    wrapper_cost = None
     try:
+        phase = run_phase(
+            opts.workload, ops, tally, opts, work, trace=bool(opts.trace),
+            seconds=opts.seconds, launches=1 if opts.trace else SETUP_LAUNCHES,
+        )
         if opts.trace:
-            half = opts.seconds / 2
-            plain = run_phase(
-                opts.workload, ops, tally, trace=False, seconds=half,
-                launches=1, **phase_args,
-            )
-            traced = run_phase(
-                opts.workload, ops, tally, trace=True, seconds=half,
-                launches=1, **phase_args,
-            )
-            metrics = per_layer(plain, traced)
-            phases = {"untraced": plain, "traced": traced}
+            wrapper_cost = tracing.wrapper_cost_s()
+            metrics = per_layer(phase, wrapper_cost)
         else:
-            phase = run_phase(
-                opts.workload, ops, tally, trace=False, seconds=opts.seconds,
-                launches=SETUP_LAUNCHES, **phase_args,
-            )
             metrics = end_to_end(phase, tally)
-            phases = {"untraced": phase}
     except ProgramError as exc:
         print(f"zzbench: {exc}", file=sys.stderr)
         return 1
@@ -455,15 +453,11 @@ def main(argv=None) -> int:
         "trace": opts.trace,
         "host": {**host_before, "loadavg_after": list(os.getloadavg())},
         "calibration_s": {"before": calibration_before, "after": host.calibration_s()},
-        "phases": {
-            name: {
-                "ops": len(p["latencies"]),
-                "window_s": p["window_s"],
-                "setup_s": p["setups"],
-                "latencies_s": p["latencies"],
-            }
-            for name, p in phases.items()
-        },
+        "wrapper_cost_s": wrapper_cost,
+        "ops": len(phase["latencies"]),
+        "window_s": phase["window_s"],
+        "setup_s": phase["setups"],
+        "latencies_s": phase["latencies"],
         "problems": tally.problems[:20],
     }
     print(json.dumps({"detail": detail}))

@@ -1,8 +1,8 @@
-"""Self-test of the benchmark itself (about six minutes on two cores).
+"""Self-test of the benchmark itself (about three minutes on two cores).
 
 Usage (from the repository root)::
 
-    python3 zzbench/selftest.py [--seconds 12]
+    python3 zzbench/selftest.py
 
 Checks, each by running ``run.py`` from the repository root:
 
@@ -23,7 +23,6 @@ Exits 0 when every check passes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import subprocess
@@ -36,7 +35,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = HERE / "_work"
 SEED = 11
-PLANT = "sim.apply_gate=2"
+#: Timed seconds of each run of the planted-slowdown check.
+SECONDS = 12.0
 
 
 def bounds() -> dict:
@@ -92,7 +92,7 @@ def check_wrong_expected(report) -> None:
         doc = json.loads(path.read_text())
         first = workloads.op_inputs(workload, SEED)[0]
         if workload == "serve-compile":
-            doc["outputs"][str(first["seed"])]["digest"] = "0" * 24
+            doc["outputs"][str(first["requests"][0]["seed"])]["digest"] = "0" * 24
         else:
             key = workloads.cell_id_from_op(first, 0)
             doc["outputs"][key]["fidelity"] += 1e-6
@@ -105,20 +105,20 @@ def check_wrong_expected(report) -> None:
     shutil.rmtree(wrong, ignore_errors=True)
 
 
-def check_planted_slowdown(report, seconds: float) -> None:
+def check_planted_slowdown(report) -> None:
     limits = bounds()
-    base = run("fig20-sweep", seconds=seconds)[1]
-    slow = run("fig20-sweep", "--plant", PLANT, seconds=seconds)[1]
+    base = run("fig20-sweep", seconds=SECONDS)[1]
+    slow = run("fig20-sweep", "--plant-slowdown", seconds=SECONDS)[1]
     drop = 1.0 - value(slow, "ops_per_s") / value(base, "ops_per_s")
     report("planted slowdown: fig20-sweep ops_per_s drops beyond its bound",
            drop > limits["ops_per_s"]["bound"], f"drop {drop:.1%}")
-    base_t = run("fig20-sweep", seconds=seconds, trace=1)[1]
-    slow_t = run("fig20-sweep", "--plant", PLANT, seconds=seconds, trace=1)[1]
+    base_t = run("fig20-sweep", seconds=SECONDS, trace=1)[1]
+    slow_t = run("fig20-sweep", "--plant-slowdown", seconds=SECONDS, trace=1)[1]
     ratio = value(slow_t, "sim.apply_gate.self_s") / value(base_t, "sim.apply_gate.self_s")
     report("planted slowdown: fig20-sweep sim.apply_gate.self_s rises",
            ratio > 1.5, f"x{ratio:.2f}")
-    base = run("serve-compile", seconds=seconds)[1]
-    slow = run("serve-compile", "--plant", PLANT, seconds=seconds)[1]
+    base = run("serve-compile", seconds=SECONDS)[1]
+    slow = run("serve-compile", "--plant-slowdown", seconds=SECONDS)[1]
     for name in ("ops_per_s", "latency_p50_s"):
         spec = limits[name]
         change = value(slow, name) / value(base, name) - 1.0
@@ -138,7 +138,7 @@ def deterministic_counts(result) -> dict:
 
 def check_count_determinism(report) -> None:
     for workload in workloads.WORKLOADS:
-        ops = "12" if workload == "serve-compile" else "2"
+        ops = "6" if workload == "serve-compile" else "2"
         first = deterministic_counts(run(workload, "--ops", ops, trace=1)[1])
         second = deterministic_counts(run(workload, "--ops", ops, trace=1)[1])
         drift = {k: (first[k], second.get(k)) for k in first if first[k] != second.get(k)}
@@ -146,10 +146,7 @@ def check_count_determinism(report) -> None:
                f"{len(first)} counts" if not drift else f"DEFECT drifting counts {drift}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seconds", type=float, default=12.0)
-    opts = parser.parse_args(argv)
+def main() -> int:
     failures = []
 
     def report(name, passed, detail):
@@ -160,7 +157,7 @@ def main(argv=None) -> int:
     WORK.mkdir(exist_ok=True)
     check_no_program(report)
     check_wrong_expected(report)
-    check_planted_slowdown(report, opts.seconds)
+    check_planted_slowdown(report)
     check_count_determinism(report)
     print(f"{len(failures)} failure(s)")
     return 1 if failures else 0

@@ -10,8 +10,8 @@ on stdout::
 Each sweep op is one serial ``run_campaign`` call with a throwaway
 in-memory store, exactly as a user's serial sweep runs it.  Exits at
 end of input.  ``--trace`` installs the per-layer tracing of
-``tracing.py`` before the first op; ``--plant NAME=FACTOR`` plants a
-slowdown (self-test only).
+``tracing.py`` before the first op; ``--plant-slowdown`` plants a 2x
+slowdown around ``sim.apply_gate`` (self-test only).
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ import workloads
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--plant", action="append", metavar="NAME=FACTOR")
+    parser.add_argument("--plant-slowdown", action="store_true")
     opts = parser.parse_args(argv)
     # The protocol owns the real stdout; stray prints go to stderr.
     out = os.fdopen(os.dup(sys.stdout.fileno()), "w")
     sys.stdout = sys.stderr
     tracer = None
-    if opts.trace or opts.plant:
+    if opts.trace or opts.plant_slowdown:
         tracer = tracing.install(
-            trace=opts.trace, plant=tracing.parse_plant(opts.plant)
+            trace=opts.trace, plant_slowdown=opts.plant_slowdown
         )
     from repro.campaigns import runner
 

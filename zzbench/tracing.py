@@ -15,7 +15,7 @@ also count work: bytes touched by ``apply_gate``, cache lookups and hits.
 Run as a script, this module is the traced launcher of a ``repro``
 entry point::
 
-    python zzbench/tracing.py --snapshots DIR [--plant NAME=FACTOR] \
+    python zzbench/tracing.py --snapshots DIR [--plant-slowdown] \
         -- serve --port 0
 
 It installs the wrappers, starts a thread that writes a snapshot to
@@ -30,6 +30,7 @@ import functools
 import importlib
 import json
 import os
+import statistics
 import sys
 import threading
 from time import perf_counter
@@ -56,6 +57,9 @@ MODULES = (
     "repro.serve.service",
     "repro.cli",
 )
+
+#: The span the self-test's planted slowdown doubles.
+PLANT_TARGET = "sim.apply_gate"
 
 #: span name -> (module, attribute path).  Names are ``<layer>.<function>``
 #: with the layer named after its ``repro`` package.
@@ -183,13 +187,12 @@ WORK_COUNTERS = {
 }
 
 
-def _slowed(fn, repeat: int):
-    """``fn`` run ``repeat`` times per call: a planted slowdown."""
+def _slowed(fn):
+    """``fn`` run twice per call: a planted 2x slowdown."""
 
     @functools.wraps(fn)
     def slowed(*args, **kwargs):
-        for _ in range(repeat - 1):
-            fn(*args, **kwargs)
+        fn(*args, **kwargs)
         return fn(*args, **kwargs)
 
     return slowed
@@ -203,26 +206,24 @@ def _resolve(module_name: str, path: str):
     return owner, attr
 
 
-def install(trace: bool = True, plant: dict[str, int] | None = None):
+def install(trace: bool = True, plant_slowdown: bool = False):
     """Wrap every target; return the :class:`Tracer` (None if not tracing).
 
-    ``plant`` maps span names to a slowdown factor (the wrapped function
-    runs that many times per call).  With ``trace=False`` only planted
-    targets are wrapped, without span bookkeeping.
+    ``plant_slowdown`` makes :data:`PLANT_TARGET` run twice per call.
+    With ``trace=False`` only that target is wrapped, without span
+    bookkeeping.
     """
-    plant = plant or {}
     for module_name in MODULES:
         importlib.import_module(module_name)
     tracer = Tracer() if trace else None
     swaps = {}
     for name, (module_name, path) in TARGETS.items():
-        if not trace and name not in plant:
+        slow = plant_slowdown and name == PLANT_TARGET
+        if not (trace or slow):
             continue
         owner, attr = _resolve(module_name, path)
         original = owner.__dict__[attr]
-        wrapped = original
-        if name in plant:
-            wrapped = _slowed(wrapped, plant[name])
+        wrapped = _slowed(original) if slow else original
         if trace:
             wrapped = tracer.wrap(name, wrapped, WORK_COUNTERS.get(name))
         setattr(owner, attr, wrapped)
@@ -247,15 +248,27 @@ def write_snapshot(tracer: Tracer, path: str) -> None:
     os.replace(tmp, path)
 
 
-def parse_plant(items) -> dict[str, int]:
-    """``["sim.apply_gate=2"]`` -> ``{"sim.apply_gate": 2}``."""
-    out = {}
-    for item in items or ():
-        name, _, factor = item.partition("=")
-        if name not in TARGETS:
-            raise ValueError(f"unknown plant target {name!r}")
-        out[name] = int(factor or 2)
-    return out
+def wrapper_cost_s(calls: int = 20000, blocks: int = 7) -> float:
+    """Median extra time one traced call costs over the bare call.
+
+    Each block times a loop of bare calls and then the same loop through
+    a wrapper nested in an outer span, back to back, so a drift of host
+    speed between blocks mostly cancels.
+    """
+    tracer = Tracer()
+
+    def bare(x):
+        return x
+
+    def loop(fn):
+        t0 = perf_counter()
+        for i in range(calls):
+            fn(i)
+        return perf_counter() - t0
+
+    wrapped, outer = tracer.wrap("bare", bare), tracer.wrap("loop", loop)
+    costs = [(outer(wrapped) - loop(bare)) / calls for _ in range(blocks)]
+    return statistics.median(costs)
 
 
 def _serve_snapshots(tracer: Tracer, directory: str) -> None:
@@ -267,11 +280,11 @@ def _serve_snapshots(tracer: Tracer, directory: str) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--snapshots", help="directory for trace snapshots")
-    parser.add_argument("--plant", action="append", metavar="NAME=FACTOR")
+    parser.add_argument("--plant-slowdown", action="store_true")
     parser.add_argument("args", nargs=argparse.REMAINDER)
     opts = parser.parse_args(argv)
     args = opts.args[1:] if opts.args[:1] == ["--"] else opts.args
-    tracer = install(trace=bool(opts.snapshots), plant=parse_plant(opts.plant))
+    tracer = install(trace=bool(opts.snapshots), plant_slowdown=opts.plant_slowdown)
     if tracer is not None:
         threading.Thread(
             target=_serve_snapshots, args=(tracer, opts.snapshots), daemon=True

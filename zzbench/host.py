@@ -2,10 +2,11 @@
 
 The host's CPU speed drifts by itself, so each run's detail line carries
 what the machine looked like — core count, affinity, BLAS thread pins,
-load average, interpreter and numpy versions — and a fixed calibration
-kernel timed before and after the run.  No metric is divided by the
-calibration: dividing by a kernel timed between ops was measured not to
-steady the numbers (per-op CV 0.136 -> 0.118).
+load average, interpreter and numpy versions — a fixed calibration
+kernel timed before and after the run, and the program's CPU time and
+the hypervisor's steal time over the timed window.  No metric is
+divided by the calibration: dividing by a kernel timed between ops was
+measured not to steady the numbers (per-op CV 0.136 -> 0.118).
 """
 
 from __future__ import annotations
@@ -48,6 +49,26 @@ def calibration_s(rounds: int = 5) -> float:
             total += i * i % 7
         times.append(perf_counter() - t0)
     return sorted(times)[len(times) // 2]
+
+
+def steal_s() -> float | None:
+    """CPU time the hypervisor gave to others, summed over all CPUs so far."""
+    try:
+        with open("/proc/stat") as fh:
+            fields = fh.readline().split()
+        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def cpu_s(pid: int) -> float | None:
+    """User plus system CPU time of process ``pid`` (all its threads)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def host_record() -> dict:

@@ -1,8 +1,8 @@
-"""The repository benchmark: three closed-loop workloads, timed from outside.
+"""The repository benchmark: two closed-loop workloads, timed from outside.
 
 Usage (from the repository root)::
 
-    python3 zzbench/run.py --workload fig20-sweep --seed 1 --seconds 30 --trace 0
+    python3 zzbench/run.py --workload fig20-sweep --seed 1 --seconds 50 --trace 0
 
 One single-threaded load process drives one program process over one
 connection (stdin/stdout pipes for the sweeps, one keep-alive HTTP
@@ -251,6 +251,8 @@ def run_phase(workload, ops, tally, opts, work, *, trace, seconds, launches):
             tally.check(op, program.call(op))
         before = program.snapshot() if trace else None
         latencies = []
+        cpu_before, steal_before = host.cpu_s(program.proc.pid), host.steal_s()
+        rss = None
         start = time.perf_counter()
         while True:
             if position >= len(ops):
@@ -261,14 +263,18 @@ def run_phase(workload, ops, tally, opts, work, *, trace, seconds, launches):
             answer = program.call(op)
             latencies.append(time.perf_counter() - t0)
             tally.check(op, answer)
+            if len(latencies) == workloads.RSS_AFTER_OPS[workload]:
+                rss = program.peak_rss_mb()
             if opts.ops:
                 if len(latencies) >= opts.ops:
                     break
             elif time.perf_counter() - start >= seconds:
                 break
         window = time.perf_counter() - start
+        cpu_after, steal_after = host.cpu_s(program.proc.pid), host.steal_s()
         after = program.snapshot() if trace else None
-        rss = program.peak_rss_mb()
+        if rss is None:  # fewer timed ops than RSS_AFTER_OPS
+            rss = program.peak_rss_mb()
     finally:
         if program is not None:
             program.close()
@@ -276,10 +282,16 @@ def run_phase(workload, ops, tally, opts, work, *, trace, seconds, launches):
         "setups": setups,
         "latencies": latencies,
         "window_s": window,
+        "window_program_cpu_s": _difference(cpu_after, cpu_before),
+        "window_steal_s": _difference(steal_after, steal_before),
         "peak_rss_mb": rss,
         "before": before,
         "after": after,
     }
+
+
+def _difference(after, before):
+    return None if after is None or before is None else after - before
 
 
 def percentile(values, q: int) -> float:
@@ -337,14 +349,9 @@ def per_layer(traced: dict, wrapper_cost_s: float) -> dict:
     span("sim.apply_gate", "calls", "self_s")
     put("sim.apply_gate.bytes_computed", delta("sim.apply_gate")[WORK] / n, "B")
     span("sim.evolve_layer", "calls", "busy_s", "self_s")
-    span("sim.layer_unitary", "calls", "busy_s")
-    span("sim.channel", "calls", "busy_s")
     span("runtime.execute", "calls", "busy_s", "self_s")
     span("runtime.drives_for_layer", "calls", "busy_s")
     span("runtime.ideal_state", "busy_s")
-    cache = delta("runtime.prop_cache")
-    put("runtime.prop_cache.lookups", cache[CALLS] / n, "count")
-    put("runtime.prop_cache.hit_ratio", ratio(cache[HITS], cache[CALLS]), "ratio")
     campaign, cells = delta("campaigns.run_campaign"), delta("campaigns.evaluate_cell")
     put("campaigns.run_campaign.busy_s", campaign[BUSY] / n, "s")
     put("campaigns.overhead_s", (campaign[BUSY] - cells[BUSY]) / n, "s")
@@ -456,6 +463,8 @@ def main(argv=None) -> int:
         "wrapper_cost_s": wrapper_cost,
         "ops": len(phase["latencies"]),
         "window_s": phase["window_s"],
+        "window_program_cpu_s": phase["window_program_cpu_s"],
+        "window_steal_s": phase["window_steal_s"],
         "setup_s": phase["setups"],
         "latencies_s": phase["latencies"],
         "problems": tally.problems[:20],

@@ -1,10 +1,9 @@
-"""Program process of the sweep workloads: one ``run_campaign`` per op.
+"""Program process of the sweep workload: one ``run_campaign`` per op.
 
 Reads one JSON op per line on stdin and answers each with one JSON line
 on stdout::
 
     {"op": "fig20", "device_seeds": [a, b]}  -> {"records": [...], "failed": n}
-    {"op": "fig23", "t1_us": t1}             -> {"records": [...], "failed": n}
     {"op": "snapshot"}                       -> {"spans": {...}}  (traced only)
 
 Each sweep op is one serial ``run_campaign`` call with a throwaway

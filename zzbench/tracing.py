@@ -66,14 +66,9 @@ PLANT_TARGET = "sim.apply_gate"
 TARGETS = {
     "sim.apply_gate": ("repro.sim.statevector", "apply_gate"),
     "sim.evolve_layer": ("repro.sim.trotter", "TrotterEngine.evolve_layer"),
-    "sim.layer_unitary": ("repro.sim.trotter", "TrotterEngine.layer_unitary"),
-    "sim.channel": ("repro.sim.trajectories", "apply_channel_stochastic"),
     "runtime.execute": ("repro.runtime.executor", "execute"),
     "runtime.drives_for_layer": ("repro.runtime.binding", "drives_for_layer"),
     "runtime.ideal_state": ("repro.runtime.ideal", "ideal_schedule_state"),
-    "runtime.prop_cache": (
-        "repro.runtime.backends.cache", "LayerPropagatorCache._lookup",
-    ),
     "campaigns.run_campaign": ("repro.campaigns.runner", "run_campaign"),
     "campaigns.evaluate_cell": ("repro.campaigns.runner", "evaluate_cell"),
     "circuits.compile_circuit": ("repro.circuits.compile", "compile_circuit"),
@@ -181,7 +176,6 @@ def _failed_cells(args, result, entry):
 
 WORK_COUNTERS = {
     "sim.apply_gate": (None, _apply_gate_bytes),
-    "runtime.prop_cache": (_cache_state, _cache_hits),
     "scheduling.plan_cache": (_cache_state, _cache_hits),
     "campaigns.run_campaign": (None, _failed_cells),
 }

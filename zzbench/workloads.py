@@ -1,13 +1,12 @@
 """Workload inputs, derived from ``--seed``, and the checks on each answer.
 
 Every op of a workload costs the same: the mix is fixed and only
-cost-neutral inputs vary (device seeds resample crosstalk strengths, T1
-values rescale the decay channels, compile seeds redraw the QAOA angles
-and term order).  Those inputs come from fixed pools whose expected
-outputs are recorded in ``expected/`` by ``record_expected.py``; the
-workload seed only chooses the order in which a run walks its pool, so
-two runs of one seed send identical inputs in the same order and no
-input repeats within a run.
+cost-neutral inputs vary (device seeds resample crosstalk strengths,
+compile seeds redraw the QAOA angles and term order).  Those inputs come
+from fixed pools whose expected outputs are recorded in ``expected/`` by
+``record_expected.py``; the workload seed only chooses the order in which
+a run walks its pool, so two runs of one seed send identical inputs in
+the same order and no input repeats within a run.
 
 This module imports nothing from ``repro`` at import time: the load
 process stays light, and only the program side builds cells.
@@ -19,36 +18,38 @@ import json
 import random
 from pathlib import Path
 
-WORKLOADS = ("fig20-sweep", "fig23-noisy", "serve-compile")
+WORKLOADS = ("fig20-sweep", "serve-compile")
 
-#: The sweep workloads' circuit: one fixed 4-qubit QAOA instance.
+#: The sweep workload's circuit: one fixed 4-qubit QAOA instance.
 BENCHMARK, SIZE, CIRCUIT_SEED = "QAOA", 4, 0
 CONFIGS = ("gau+par", "pert+zzx")
-NOISY_BACKENDS = ("density", "trajectories")
-TRAJECTORIES = 10
 
 #: fig20-sweep: crosstalk device seeds on the paper's 3x4 grid (two per op).
 FIG20_POOL = tuple(range(1000, 1160))
-#: fig23-noisy: T1 = T2 values in us, over the paper's 100-1000 us range.
-FIG23_POOL = tuple(100.0 + 14.0 * i for i in range(64))
 #: serve-compile: ``compile eagle qaoa`` seeds.
 SERVE_POOL = tuple(range(1024))
 SERVE_DEVICE, SERVE_CIRCUIT = "eagle", "qaoa"
-#: Requests per serve-compile op, sent one after the other.  Single
-#: request latencies fall in two clusters (about 80 ms and 145 ms on the
-#: 2-core host) whose shares move with host load, so their median jumps
-#: between clusters; the time of a pair of requests is far less bimodal.
-SERVE_REQUESTS_PER_OP = 2
+#: Requests per serve-compile op, sent one after the other.  Request
+#: latencies are lumpy (the cyclic garbage collector's pauses land on
+#: every second or third request), so the time of one or two requests
+#: falls in clusters whose shares move between runs and their median
+#: jumps between clusters; four requests per op average the pauses out.
+SERVE_REQUESTS_PER_OP = 4
 
 #: Warm-up ops per program process before any timed op; the first one
 #: ends the set-up measurement.
-WARMUP_OPS = {"fig20-sweep": 1, "fig23-noisy": 1, "serve-compile": 5}
+WARMUP_OPS = {"fig20-sweep": 1, "serve-compile": 3}
 
-#: Tolerances of the golden tiers in ``repro.verify.golden``: ``close``
-#: for deterministic floats, ``statistical`` (relative) for seeded Monte
-#: Carlo outputs, so an RNG-stream change is not read as a wrong answer.
+#: Timed ops after which ``peak_rss_mb`` is read.  A fixed op count, not
+#: the end of the window: serve's heap grows with every fresh seed, so
+#: memory read at the end would grow with throughput and a speed-up
+#: would read as a memory regression.  Both counts fit in a window of
+#: the benchmark's length on a slow host (about 20 and 75 ops).
+RSS_AFTER_OPS = {"fig20-sweep": 10, "serve-compile": 60}
+
+#: Tolerance of the ``close`` golden tier in ``repro.verify.golden``,
+#: for deterministic floats.
 CLOSE_TOL = 1e-10
-STATISTICAL_RTOL = 0.05
 
 EXPECTED_DIR = Path(__file__).resolve().parent / "expected"
 
@@ -63,10 +64,6 @@ def op_inputs(workload: str, seed: int) -> list[dict]:
             {"op": "fig20", "device_seeds": seeds[i:i + 2]}
             for i in range(0, len(seeds) - 1, 2)
         ]
-    if workload == "fig23-noisy":
-        values = list(FIG23_POOL)
-        rng.shuffle(values)
-        return [{"op": "fig23", "t1_us": t1} for t1 in values]
     if workload == "serve-compile":
         seeds = list(SERVE_POOL)
         rng.shuffle(seeds)
@@ -90,7 +87,8 @@ def op_inputs(workload: str, seed: int) -> list[dict]:
 # -- cells (program side and recorder only) ---------------------------------
 
 
-def fig20_cells(device_seeds):
+def cells_for(op: dict):
+    """The sweep cells of one ``fig20`` op."""
     from repro.campaigns.spec import Cell, DeviceSpec
 
     return [
@@ -98,46 +96,19 @@ def fig20_cells(device_seeds):
             BENCHMARK, SIZE, config,
             device=DeviceSpec(seed=seed), circuit_seed=CIRCUIT_SEED,
         )
-        for seed in device_seeds
+        for seed in op["device_seeds"]
         for config in CONFIGS
     ]
 
 
-def fig23_cells(t1_us: float):
-    from repro.campaigns.spec import FIG23_DEVICE, Cell
-
-    return [
-        Cell(
-            BENCHMARK, SIZE, config,
-            device=FIG23_DEVICE, circuit_seed=CIRCUIT_SEED,
-            t1_us=t1_us, t2_us=t1_us, backend=backend,
-            trajectories=TRAJECTORIES if backend == "trajectories" else None,
-        )
-        for config in CONFIGS
-        for backend in NOISY_BACKENDS
-    ]
-
-
-def cells_for(op: dict):
-    if op["op"] == "fig20":
-        return fig20_cells(op["device_seeds"])
-    if op["op"] == "fig23":
-        return fig23_cells(op["t1_us"])
-    raise ValueError(f"unknown sweep op {op['op']!r}")
-
-
-def sweep_key(config: str, device_seed=None, backend=None, t1_us=None) -> str:
-    """Expected-file key of one sweep cell (``backend`` None = statevector)."""
-    if backend is None:
-        return f"{config}/s{device_seed}"
-    return f"{config}/{backend}/t1={t1_us!r}"
+def sweep_key(config: str, device_seed: int) -> str:
+    """Expected-file key of one sweep cell."""
+    return f"{config}/s{device_seed}"
 
 
 def cell_id(cell) -> str:
     """Expected-file key of one sweep cell."""
-    if cell.backend == "statevector":
-        return sweep_key(cell.config, cell.device.seed)
-    return sweep_key(cell.config, backend=cell.backend, t1_us=cell.t1_us)
+    return sweep_key(cell.config, cell.device.seed)
 
 
 def answer_record(cell, record: dict) -> dict:
@@ -163,10 +134,6 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= CLOSE_TOL * max(1.0, abs(a), abs(b))
 
 
-def _statistical(a: float, b: float) -> bool:
-    return abs(a - b) <= STATISTICAL_RTOL * max(abs(a), abs(b), 1e-6)
-
-
 def check_sweep_answer(op: dict, answer: dict, expected: dict) -> list[str]:
     """Mismatches of one sweep op's records against the expected file."""
     records = answer.get("records") or []
@@ -185,23 +152,16 @@ def check_sweep_answer(op: dict, answer: dict, expected: dict) -> list[str]:
         if record.get("num_layers") != want["num_layers"]:
             problems.append(f"{key}: num_layers {record.get('num_layers')}")
         for field in ("fidelity", "execution_time_ns"):
-            same = _statistical if (
-                field == "fidelity" and "/trajectories/" in key
-            ) else _close
             got = record.get(field)
-            if not isinstance(got, (int, float)) or not same(got, want[field]):
+            if not isinstance(got, (int, float)) or not _close(got, want[field]):
                 problems.append(f"{key}: {field} {got!r} != {want[field]!r}")
     return problems
 
 
 def cell_id_from_op(op: dict, index: int) -> str:
     """The expected-file key of the ``index``-th record of a sweep op."""
-    if op["op"] == "fig20":
-        seed = op["device_seeds"][index // len(CONFIGS)]
-        return sweep_key(CONFIGS[index % len(CONFIGS)], seed)
-    config = CONFIGS[index // len(NOISY_BACKENDS)]
-    backend = NOISY_BACKENDS[index % len(NOISY_BACKENDS)]
-    return sweep_key(config, backend=backend, t1_us=op["t1_us"])
+    seed = op["device_seeds"][index // len(CONFIGS)]
+    return sweep_key(CONFIGS[index % len(CONFIGS)], seed)
 
 
 def check_compile_answer(request: dict, answer: dict, expected: dict) -> list[str]:

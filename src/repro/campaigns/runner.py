@@ -83,6 +83,7 @@ from repro.circuits.compile import compile_circuit
 from repro.circuits.library import BENCHMARKS
 from repro.device.device import Device, make_device
 from repro.device.topology import Topology
+from repro.memo import memoized
 from repro.pulses.library import PulseLibrary, build_library
 from repro.runtime.executor import execute
 from repro.scheduling.analysis import couplings_to_turn_off, execution_time
@@ -95,12 +96,15 @@ from repro.telemetry import capture, counter, merge_snapshot, observe, span
 from repro.units import US
 
 # -- per-process warm caches ------------------------------------------------
-# Module-level lru_caches double as the "per-worker warm cache": the first
-# cell a worker evaluates pays for device sampling / library load / compile
-# + schedule, every later cell on the same grid point reuses them.
+# Module-level memos double as the "per-worker warm cache": the first cell
+# a worker evaluates pays for device sampling / library load / compile +
+# schedule, every later cell on the same grid point reuses them.  Each
+# bound exceeds the distinct keys of the largest built-in sweep (one
+# shape, 25 compiled circuits, 50 schedules at --full), so the parent
+# pre-warm never evicts what it warmed.
 
 
-@lru_cache(maxsize=None)
+@memoized("campaign.topology", maxsize=16)
 def cached_topology(family: str, rows: int, cols: int) -> Topology:
     """One Topology per shape per process.
 
@@ -111,7 +115,7 @@ def cached_topology(family: str, rows: int, cols: int) -> Topology:
     return DeviceSpec(rows=rows, cols=cols, family=family).topology()
 
 
-@lru_cache(maxsize=None)
+@memoized("campaign.device", maxsize=64)
 def cached_device(spec: DeviceSpec) -> Device:
     return make_device(
         cached_topology(spec.family, spec.rows, spec.cols),
@@ -126,7 +130,7 @@ def cached_library(method: str) -> PulseLibrary:
     return build_library(method)
 
 
-@lru_cache(maxsize=None)
+@memoized("campaign.compiled", maxsize=128)
 def _cached_compiled(
     benchmark: str,
     num_qubits: int,
@@ -140,7 +144,7 @@ def _cached_compiled(
     return compile_circuit(circuit, topology)
 
 
-@lru_cache(maxsize=None)
+@memoized("campaign.schedule", maxsize=256)
 def _cached_schedule(
     benchmark: str,
     num_qubits: int,
@@ -505,11 +509,11 @@ def _clear_warm_caches() -> None:
     from repro.pulses.library import _read_cache_file
 
     SHARED_PLAN_CACHE.clear()
-    cached_topology.cache_clear()
-    cached_device.cache_clear()
+    cached_topology.cache.clear()
+    cached_device.cache.clear()
     cached_library.cache_clear()
-    _cached_compiled.cache_clear()
-    _cached_schedule.cache_clear()
+    _cached_compiled.cache.clear()
+    _cached_schedule.cache.clear()
     _read_cache_file.cache_clear()
 
 

@@ -708,7 +708,6 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         workers=args.serve_workers,
         backend=args.backend,
-        plan_cache_size=args.plan_cache_size,
         store=args.store,
     )
     server = ReproServer(config)
@@ -998,12 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign result store",
     )
     _add_serve_tuning_arguments(serve_parser)
-    serve_parser.add_argument(
-        "--plan-cache-size",
-        type=int,
-        default=4096,
-        help="suppression-plan cache bound, entries (default 4096)",
-    )
     serve_parser.set_defaults(func=_cmd_serve)
 
     bench_serve_parser = sub.add_parser(

@@ -21,52 +21,31 @@ explicitly passes it — the ``repro serve`` daemon keeps one instance per
 (library, device, noise) combination for exactly this reason.
 
 Reuse is bit-exact: a hit returns the very arrays a miss computed, so
-cached and uncached runs produce identical fidelities.  The cache is
-thread-safe with exactly-once builds: concurrent requests for the same
+cached and uncached runs produce identical fidelities.  Both maps are
+:class:`~repro.memo.MemoCache` instances, so concurrent requests for one
 missing key wait for the first builder instead of duplicating the
-``4^n`` work, and dict mutation/counters never race.
+``4^n`` work.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
+from repro.memo import MemoCache
 from repro.scheduling.layer import Layer
-from repro.telemetry import counter
 
 
 class LayerPropagatorCache:
     """Memoizes per-layer drives and (density-path) layer unitaries.
 
-    ``maxsize`` bounds each of the two maps independently (FIFO eviction —
-    schedules revisit layers in order, so the oldest entry is the least
-    likely to recur); ``None`` keeps every entry, the historical behavior.
-
-    All bookkeeping lives behind one lock, held only around dict access —
-    never while ``build()`` runs.  A miss registers an in-flight event
-    per (map, key); concurrent readers of the same key block on it and
-    then return the one built value (counted as hits — they built
-    nothing).  Single-threaded callers pay one uncontended lock acquire.
+    ``maxsize`` bounds each of the two maps independently (FIFO);
+    ``None`` keeps every entry.  Both maps count into the
+    ``prop_cache.*`` telemetry counters.
     """
 
     def __init__(self, maxsize: int | None = None):
-        self._drives: dict[tuple, tuple] = {}
-        self._unitaries: dict[tuple, np.ndarray] = {}
-        self._inflight: dict[tuple, threading.Event] = {}
-        self._lock = threading.Lock()
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _evict(self, entries: dict) -> None:
-        """Make room for one insert (lock held by the caller)."""
-        if self.maxsize is not None and len(entries) >= self.maxsize:
-            entries.pop(next(iter(entries)))
-            self.evictions += 1
-            counter("prop_cache.evict")
+        self._drives = MemoCache("prop_cache", maxsize)
+        self._unitaries = MemoCache("prop_cache", maxsize)
 
     @staticmethod
     def layer_key(layer: Layer, duration: float, dt: float) -> tuple:
@@ -76,62 +55,24 @@ class LayerPropagatorCache:
         )
         return (signature, duration, dt)
 
-    def _lookup(self, entries: dict, kind: str, key: tuple, build):
-        """The entry for ``key``, built at most once across threads."""
-        flight_key = (kind, key)
-        while True:
-            with self._lock:
-                found = entries.get(key)
-                if found is not None:
-                    self.hits += 1
-                    counter("prop_cache.hit")
-                    return found
-                pending = self._inflight.get(flight_key)
-                if pending is None:
-                    event = self._inflight[flight_key] = threading.Event()
-                    self.misses += 1
-                    counter("prop_cache.miss")
-                    break
-            # Someone else is building this key: wait, then re-check (a
-            # FIFO eviction may have raced the set — loop and rebuild).
-            pending.wait()
-        try:
-            built = build()
-            with self._lock:
-                if key not in entries:
-                    self._evict(entries)
-                    entries[key] = built
-        finally:
-            with self._lock:
-                self._inflight.pop(flight_key, None)
-            event.set()
-        return built
-
     def drives(self, key: tuple, build) -> tuple:
         """The drive list for ``key``, built once via ``build()``."""
-        return self._lookup(self._drives, "drives", key, lambda: tuple(build()))
+        return self._drives.get(key, lambda: tuple(build()))
 
     def unitary(self, key: tuple, build) -> np.ndarray:
         """The full layer unitary for ``key``, built once via ``build()``."""
-        return self._lookup(self._unitaries, "unitary", key, build)
+        return self._unitaries.get(key, build)
+
+    @property
+    def stats(self) -> dict[str, int]:
+        drives, unitaries = self._drives.stats, self._unitaries.stats
+        return {name: drives[name] + unitaries[name] for name in drives}
+
+    hits = property(lambda self: self.stats["hits"])
+    misses = property(lambda self: self.stats["misses"])
+    evictions = property(lambda self: self.stats["evictions"])
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._drives) + len(self._unitaries),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LayerPropagatorCache({len(self._drives)} drive lists, "
-            f"{len(self._unitaries)} unitaries, "
-            f"{self.hits} hits / {self.misses} misses)"
-        )

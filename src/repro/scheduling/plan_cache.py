@@ -8,15 +8,11 @@ function of ``(topology, Q, alpha, top_k)``, so its plans can be cached
 without changing a single emitted schedule — the cache key uses
 :attr:`~repro.device.topology.Topology.fingerprint`, which hashes the
 coupling structure, so one cache instance may safely serve several
-topology objects (and, shared at module level, a whole campaign, like the
-``LayerPropagatorCache`` of the runtime backends).
+topology objects (and, shared at module level, a whole campaign).
 
-The cache is **thread-safe** and computes each plan **exactly once**: a
-thread that asks for a key another thread is already solving waits for
-that solve instead of duplicating it, which is what lets one instance
-back the concurrent ``repro serve`` compile daemon.  With ``maxsize``
-set, a full cache evicts its oldest entry FIFO (the same policy as
-``LayerPropagatorCache._evict``) rather than refusing new inserts.
+The cache is a :class:`~repro.memo.MemoCache`: thread-safe, exactly-once
+per key (what lets one instance back the concurrent ``repro serve``
+compile daemon) and FIFO-bounded when ``maxsize`` is set.
 
 ``NullPlanCache`` recomputes every plan; the differential oracles run the
 scheduler through it to pin cache-on == cache-off bit-identical.
@@ -24,7 +20,6 @@ scheduler through it to pin cache-on == cache-off bit-identical.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable
 
 from repro.device.topology import Topology
@@ -34,45 +29,26 @@ from repro.graphs.suppression import (
     SuppressionPlan,
     alpha_optimal_suppression,
 )
+from repro.memo import MemoCache
 from repro.telemetry import counter
 
+#: Bound of the long-lived plan caches (the process-wide one and each
+#: serve daemon's).  The largest single compile measured, osprey/qv,
+#: needs 3040 plans.
+PLAN_CACHE_SIZE = 4096
 
-class SuppressionPlanCache:
+
+class SuppressionPlanCache(MemoCache):
     """Cache of alpha-optimal suppression plans, keyed by problem content.
 
     Keys are ``(topology fingerprint, frozenset(Q), alpha, top_k)``.  Plans
     are immutable (frozen dataclasses), so returning the cached instance is
-    safe; hit/miss/eviction counters feed the ``sched-bench`` reports and
-    the ``repro serve`` stats endpoint.
-
-    Concurrency: all state lives behind one lock, held only for dict
-    lookups and bookkeeping — never during Algorithm 1 itself.  A miss
-    registers an in-flight event; concurrent requests for the same key
-    wait on it and count as hits (they did not compute).  The
-    single-threaded fast path pays one uncontended lock acquire per call.
+    safe; the ``plan_cache.*`` counters feed ``sched-bench`` and ``repro
+    stats``, the instance ``stats`` the ``repro serve`` stats endpoint.
     """
 
     def __init__(self, maxsize: int | None = None):
-        self._plans: dict[tuple, SuppressionPlan] = {}
-        self._inflight: dict[tuple, threading.Event] = {}
-        self._lock = threading.Lock()
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def _insert(self, key: tuple, plan: SuppressionPlan) -> None:
-        """Store under the FIFO bound (lock held by the caller)."""
-        if key in self._plans:
-            return
-        if self.maxsize is not None and len(self._plans) >= self.maxsize:
-            self._plans.pop(next(iter(self._plans)))
-            self.evictions += 1
-            counter("plan_cache.evict")
-        self._plans[key] = plan
+        super().__init__("plan_cache", maxsize)
 
     def plan(
         self,
@@ -82,93 +58,13 @@ class SuppressionPlanCache:
         top_k: int = DEFAULT_TOP_K,
     ) -> SuppressionPlan:
         """The plan for one Algorithm-1 problem, computed at most once."""
-        key = (topology.fingerprint, frozenset(gate_qubits), alpha, top_k)
-        while True:
-            with self._lock:
-                cached = self._plans.get(key)
-                if cached is not None:
-                    self.hits += 1
-                    counter("plan_cache.hit")
-                    return cached
-                pending = self._inflight.get(key)
-                if pending is None:
-                    event = self._inflight[key] = threading.Event()
-                    self.misses += 1
-                    counter("plan_cache.miss")
-                    break
-            # Another thread is solving this key: wait, then re-check (the
-            # plan may have been evicted in between, in which case we loop
-            # around and become the computing thread ourselves).
-            pending.wait()
-        try:
-            plan = alpha_optimal_suppression(
-                topology, key[1], alpha=alpha, top_k=top_k
-            )
-            with self._lock:
-                self._insert(key, plan)
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            event.set()
-        return plan
-
-    def export(self) -> tuple[tuple[tuple, SuppressionPlan], ...]:
-        """Picklable snapshot of every cached plan (for worker shipping).
-
-        Plans are immutable pure functions of their key, so a snapshot
-        taken in a campaign parent can seed a spawn-started worker's
-        cache without any coherence concern.
-        """
-        with self._lock:
-            return tuple(self._plans.items())
-
-    def absorb(self, items) -> int:
-        """Seed the cache from an :meth:`export` snapshot; returns adds.
-
-        Existing entries win (they are identical by construction), and
-        absorbed plans count as neither hits nor misses — they were
-        computed elsewhere.  The ``maxsize`` bound applies exactly as on
-        :meth:`plan`: a full cache evicts its oldest entry FIFO instead
-        of dropping the absorbed one.
-        """
-        added = 0
-        with self._lock:
-            for key, plan in items:
-                if key not in self._plans:
-                    self._insert(key, plan)
-                    added += 1
-        return added
-
-    def resize(self, maxsize: int | None) -> None:
-        """Re-bound the cache, evicting oldest entries FIFO if shrinking.
-
-        Lets a serve worker adopt the process-wide
-        :data:`SHARED_PLAN_CACHE` (inherited warm across a fork) while
-        still honoring the daemon's ``--plan-cache-size`` bound.
-        """
-        with self._lock:
-            self.maxsize = maxsize
-            if maxsize is not None:
-                while len(self._plans) > maxsize:
-                    self._plans.pop(next(iter(self._plans)))
-                    self.evictions += 1
-                    counter("plan_cache.evict")
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self),
-        }
+        qubits = frozenset(gate_qubits)
+        return self.get(
+            (topology.fingerprint, qubits, alpha, top_k),
+            lambda: alpha_optimal_suppression(
+                topology, qubits, alpha=alpha, top_k=top_k
+            ),
+        )
 
 
 class NullPlanCache(SuppressionPlanCache):
@@ -189,7 +85,6 @@ class NullPlanCache(SuppressionPlanCache):
         )
 
 
-#: Process-wide cache shared by campaign workers (cleared with the other
-#: warm caches only when a process exits); safe because plans are pure
-#: functions of the key.
-SHARED_PLAN_CACHE = SuppressionPlanCache()
+#: Process-wide cache shared by campaign cells and serve worker
+#: processes; safe because plans are pure functions of the key.
+SHARED_PLAN_CACHE = SuppressionPlanCache(PLAN_CACHE_SIZE)

@@ -45,11 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, parse_request
-from repro.serve.service import (
-    DEFAULT_PLAN_CACHE_SIZE,
-    DEFAULT_PROP_CACHE_SIZE,
-    CompileService,
-)
+from repro.serve.service import CompileService
 from repro.telemetry import counter, gauge_max, observe, span
 
 logger = logging.getLogger(__name__)
@@ -100,8 +96,6 @@ class ServeConfig:
     #: ``"thread"`` (one process, GIL-shared caches) or ``"process"``
     #: (fork-warm worker processes for multicore scaling).
     backend: str = "thread"
-    plan_cache_size: int | None = DEFAULT_PLAN_CACHE_SIZE
-    prop_cache_size: int | None = DEFAULT_PROP_CACHE_SIZE
     #: Optional ResultStore path for simulate requests (thread backend
     #: only — process workers keep per-worker in-memory stores).
     store: str | None = None
@@ -142,11 +136,7 @@ class ReproServer:
                 f"unknown serve backend {self.config.backend!r}; "
                 f"known: {', '.join(BACKENDS)}"
             )
-        self.service = service or CompileService(
-            plan_cache_size=self.config.plan_cache_size,
-            prop_cache_size=self.config.prop_cache_size,
-            store=self.config.store,
-        )
+        self.service = service or CompileService(store=self.config.store)
         #: Actual bound port, available once ``started`` is set (lets
         #: tests and the load harness bind port 0 for an ephemeral port).
         self.port: int | None = None
@@ -198,12 +188,7 @@ class ReproServer:
                 "--store is not shared across process workers; "
                 "simulate results are cached per worker in memory"
             )
-        pool = ProcessWorkerPool(
-            self.config.workers,
-            plan_cache_size=self.config.plan_cache_size,
-            prop_cache_size=self.config.prop_cache_size,
-            store=None,
-        )
+        pool = ProcessWorkerPool(self.config.workers, store=None)
         pool.start()
         return pool
 

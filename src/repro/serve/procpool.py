@@ -14,9 +14,9 @@ libraries before forking, so fork-started workers inherit them — plus
 whatever the process-wide ``SHARED_PLAN_CACHE`` already holds — at zero
 cost; on spawn-start platforms a plan-cache snapshot ships through the
 worker's startup message instead.  Each worker adopts
-``SHARED_PLAN_CACHE`` as its :class:`~repro.serve.service.CompileService`
-plan cache (re-bounded to the daemon's ``--plan-cache-size``), so a
-respawned fork picks up any plans the parent had at fork time.
+the bounded ``SHARED_PLAN_CACHE`` as its
+:class:`~repro.serve.service.CompileService` plan cache, so a respawned
+fork picks up any plans the parent had at fork time.
 
 Fault tolerance mirrors the campaign runner's ``BrokenProcessPool``
 recovery: a worker that dies (OOM, segfault, ``kill -9``) mid-batch is
@@ -120,18 +120,12 @@ class ProcessWorkerPool:
         self,
         workers: int,
         *,
-        plan_cache_size: int | None = None,
-        prop_cache_size: int | None = None,
         store: str | None = None,
         methods: tuple[str, ...] | None = None,
     ):
         self.size = max(1, workers)
         self._methods = tuple(methods if methods is not None else METHODS)
-        self._service_options = {
-            "plan_cache_size": plan_cache_size,
-            "prop_cache_size": prop_cache_size,
-            "store": store,
-        }
+        self._service_options = {"store": store}
         self._plan_snapshot: tuple | None = None
         self._idle: queue.Queue[_Worker] = queue.Queue()
         self._workers: list[_Worker] = []
@@ -278,19 +272,24 @@ class ProcessWorkerPool:
         with self._stats_lock:
             snapshots = list(self._worker_stats.values())
         totals = {"requests": 0, "errors": 0, "store_hits": 0}
-        plan = {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
-        prop = {"instances": 0, "hits": 0, "misses": 0, "evictions": 0}
+        memo = ("hits", "misses", "evictions", "size")
+        caches = {
+            "plan_cache": dict.fromkeys(memo, 0),
+            "prop_caches": dict.fromkeys(
+                ("instances", "hits", "misses", "evictions"), 0
+            ),
+            "scale_context": dict.fromkeys(memo, 0),
+            "scale_circuit": dict.fromkeys(memo, 0),
+        }
         records = 0
         for snap in snapshots:
             for key in totals:
                 totals[key] += snap.get(key, 0)
-            for key in plan:
-                plan[key] += (snap.get("plan_cache") or {}).get(key, 0)
-            for key in prop:
-                prop[key] += (snap.get("prop_caches") or {}).get(key, 0)
+            for name, cache in caches.items():
+                for key in cache:
+                    cache[key] += (snap.get(name) or {}).get(key, 0)
             records += (snap.get("store") or {}).get("records", 0)
-        totals["plan_cache"] = plan
-        totals["prop_caches"] = prop
+        totals.update(caches)
         totals["store"] = {
             "path": self._service_options.get("store"),
             "records": records,

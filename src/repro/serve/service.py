@@ -7,36 +7,40 @@ compile/simulate path and keeps it hot across requests:
   :class:`~repro.scheduling.plan_cache.SuppressionPlanCache` — one
   Algorithm-1 plan serves every circuit that asks for the same
   ``(topology, Q, alpha, top_k)`` problem;
+- bounded memos of the scale-device contexts and benchmark circuits
+  that compile requests name (``serve.scale_context``/``scale_circuit``);
 - the pulse-library cache (via the campaign runner's per-process
   ``cached_library``, which itself sits on the warm pulse-cache file);
 - per-``(library, device, noise)``
   :class:`~repro.runtime.backends.LayerPropagatorCache` instances for
   simulate requests — *keyed* instances, because a propagator cache must
-  not outlive one (library, device couplings, noise) validity domain;
+  not outlive one (library, device couplings, noise) validity domain —
+  held in a bounded memo of their own;
 - an optional campaign :class:`~repro.campaigns.store.ResultStore`, so
   repeated simulate requests are answered from disk exactly like a
   resumed sweep.
 
 Handlers are synchronous and thread-safe: the daemon calls them from a
 thread pool, so every piece of shared state is either lock-guarded here
-or internally thread-safe (the caches after this PR).  Results are
-bit-identical to one-shot CLI runs: compile responses digest the same
-schedule a fresh ``repro sched-bench`` process would emit, simulate
-responses reuse the exact campaign evaluation path (same store records).
+or internally thread-safe (every cache is a :class:`~repro.memo.MemoCache`).
+Results are bit-identical to one-shot CLI runs: compile responses digest
+the same schedule a fresh ``repro sched-bench`` process would emit,
+simulate responses reuse the exact campaign evaluation path (same store
+records).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from functools import lru_cache
 
 from repro.campaigns.fingerprint import library_fingerprint
 from repro.campaigns.runner import cached_topology, supervised_evaluate
 from repro.campaigns.spec import DEFAULT_POLICY, Cell, RetryPolicy, cell_key
 from repro.campaigns.store import ResultStore, record_status
+from repro.memo import MemoCache, memoized
 from repro.runtime.backends import LayerPropagatorCache
-from repro.scheduling.plan_cache import SuppressionPlanCache
+from repro.scheduling.plan_cache import PLAN_CACHE_SIZE, SuppressionPlanCache
 from repro.scheduling.requirement import SuppressionRequirement
 from repro.scheduling.scalebench import bench_circuit
 from repro.scheduling.zzxsched import zzx_schedule
@@ -48,14 +52,15 @@ from repro.serve.protocol import (
 from repro.telemetry import counter, span
 from repro.verify.generators import scale_topology
 
-#: Default bound on the suppression-plan cache (entries, FIFO-evicted).
-DEFAULT_PLAN_CACHE_SIZE = 4096
+#: Bound per layer-propagator cache (entries per map, FIFO).
+PROP_CACHE_SIZE = 512
 
-#: Default bound per layer-propagator cache (entries per map, FIFO).
-DEFAULT_PROP_CACHE_SIZE = 512
+#: Propagator caches kept at once, one per (method, device, T1, T2)
+#: domain; each may hold PROP_CACHE_SIZE six-qubit unitaries (~32 MiB).
+PROP_DOMAINS = 4
 
 
-@lru_cache(maxsize=None)
+@memoized("serve.scale_context", maxsize=16)
 def _scale_context(device: str):
     """(topology, requirement) for a scale-device name, built once.
 
@@ -70,7 +75,11 @@ def _scale_context(device: str):
     return topology, requirement
 
 
-@lru_cache(maxsize=None)
+# Compile requests usually carry fresh seeds, so this memo rarely hits.
+# The bound is small on purpose: an eagle/qaoa circuit is ~2600 gate
+# objects that every full garbage collection re-traverses, and 64 entries
+# measured ~15% slower serve compiles than 16 (GC time alone).
+@memoized("serve.scale_circuit", maxsize=16)
 def _scale_circuit(device: str, circuit: str, seed: int):
     topology, _ = _scale_context(device)
     return bench_circuit(topology, circuit, seed=seed)
@@ -82,22 +91,17 @@ class CompileService:
     def __init__(
         self,
         *,
-        plan_cache_size: int | None = DEFAULT_PLAN_CACHE_SIZE,
-        prop_cache_size: int | None = DEFAULT_PROP_CACHE_SIZE,
         store: ResultStore | str | None = None,
         policy: RetryPolicy | None = None,
         plan_cache: SuppressionPlanCache | None = None,
     ):
         # ``plan_cache`` lets a serve worker process adopt the
-        # fork-inherited SHARED_PLAN_CACHE instead of starting cold; the
-        # size bound is applied to whichever instance serves.
+        # fork-inherited SHARED_PLAN_CACHE (same bound) instead of
+        # starting cold.
         if plan_cache is None:
-            plan_cache = SuppressionPlanCache(maxsize=plan_cache_size)
-        else:
-            plan_cache.resize(plan_cache_size)
+            plan_cache = SuppressionPlanCache(PLAN_CACHE_SIZE)
         self.plan_cache = plan_cache
-        self.prop_cache_size = prop_cache_size
-        self._prop_caches: dict[tuple, LayerPropagatorCache] = {}
+        self._prop_caches = MemoCache("serve.prop_domain", PROP_DOMAINS)
         # No path -> in-memory store: repeat simulate requests are still
         # answered from the first evaluation for the daemon's lifetime.
         if store is None or isinstance(store, str):
@@ -199,14 +203,10 @@ class CompileService:
         """
         if cell.backend != "density":
             return None
-        key = (cell.method, cell.device, cell.t1_us, cell.t2_us)
-        with self._lock:
-            found = self._prop_caches.get(key)
-            if found is None:
-                found = self._prop_caches[key] = LayerPropagatorCache(
-                    maxsize=self.prop_cache_size
-                )
-            return found
+        return self._prop_caches.get(
+            (cell.method, cell.device, cell.t1_us, cell.t2_us),
+            lambda: LayerPropagatorCache(PROP_CACHE_SIZE),
+        )
 
     def _handle_simulate(self, request: SimulateRequest) -> dict:
         cell = request.cell
@@ -262,15 +262,11 @@ class CompileService:
 
     def stats(self) -> dict:
         """JSON-able cache/request statistics for the /stats endpoint."""
+        domains = [cache.stats for _, cache in self._prop_caches.export()]
+        prop = {"instances": len(domains)}
+        for name in ("hits", "misses", "evictions"):
+            prop[name] = sum(domain[name] for domain in domains)
         with self._lock:
-            prop = {
-                "instances": len(self._prop_caches),
-                "hits": sum(c.hits for c in self._prop_caches.values()),
-                "misses": sum(c.misses for c in self._prop_caches.values()),
-                "evictions": sum(
-                    c.evictions for c in self._prop_caches.values()
-                ),
-            }
             stats = {
                 "requests": self.requests,
                 "errors": self.errors,
@@ -281,6 +277,8 @@ class CompileService:
             }
         stats["plan_cache"] = self.plan_cache.stats
         stats["prop_caches"] = prop
+        stats["scale_context"] = _scale_context.cache.stats
+        stats["scale_circuit"] = _scale_circuit.cache.stats
         stats["store"] = {
             "path": str(self.store.path) if self.store is not None and self.store.path else None,
             "records": len(self.store) if self.store is not None else 0,

@@ -14,9 +14,11 @@ from repro.campaigns.costmodel import (
     predict_shards,
 )
 from repro.campaigns.runner import (
+    _cached_schedule,
     _clear_warm_caches,
     _prewarm_parent,
     _warm_worker,
+    cached_device,
     cached_library,
     run_campaign,
 )
@@ -244,9 +246,14 @@ class TestWarmCaches:
             _cell(benchmark="Ising", config="pert+zzx"),
         ]
         assert len(SHARED_PLAN_CACHE) == 0
+        assert len(_cached_schedule.cache) == 0
         _prewarm_parent(cells)
         assert len(SHARED_PLAN_CACHE) > 0
         assert cached_library.cache_info().currsize > 0
+        assert len(cached_device.cache) == 1
+        # One schedule per distinct (circuit, scheduler) signature.
+        assert len(_cached_schedule.cache) == 2
+        assert _cached_schedule.cache.evictions == 0
 
     def test_prewarm_skips_scheduling_dominant_kinds(self):
         _clear_warm_caches()
@@ -255,12 +262,16 @@ class TestWarmCaches:
         # Scheduling IS the measured work for exec_time cells: the parent
         # must not pre-solve it (that would serialize the campaign).
         assert len(SHARED_PLAN_CACHE) == 0
+        assert len(_cached_schedule.cache) == 0
 
     def test_cold_worker_initializer_clears_inherited_caches(self):
         _prewarm_parent([_cell(config="pert+zzx")])
         assert len(SHARED_PLAN_CACHE) > 0
+        assert len(_cached_schedule.cache) > 0
         _warm_worker(("gaussian",), None, cold=True)
         assert len(SHARED_PLAN_CACHE) == 0
+        assert len(_cached_schedule.cache) == 0
+        assert len(cached_device.cache) == 0
         # The initializer then warms its own library, as pre-PR workers did.
         assert cached_library.cache_info().currsize == 1
 

@@ -17,8 +17,10 @@ from repro.campaigns.spec import DeviceSpec
 from repro.circuits.circuit import Circuit
 from repro.cli import main as cli_main
 from repro.device import Topology, eagle, grid, heavy_hex, line, osprey
+from repro.memo import MemoCache
 from repro.scheduling.distance import gate_distance, gate_distance_matrix
 from repro.scheduling.plan_cache import (
+    PLAN_CACHE_SIZE,
     SHARED_PLAN_CACHE,
     NullPlanCache,
     SuppressionPlanCache,
@@ -166,6 +168,7 @@ class TestPlanCache:
         assert cache.stats == {
             "hits": 1, "misses": 1, "evictions": 0, "size": 1,
         }
+        assert cache.hit_rate == 0.5
         cache.clear()
         assert cache.stats == {
             "hits": 0, "misses": 0, "evictions": 0, "size": 0,
@@ -197,6 +200,10 @@ class TestPlanCache:
 
     def test_shared_plan_cache_exists(self):
         assert isinstance(SHARED_PLAN_CACHE, SuppressionPlanCache)
+        # One mechanism, one constant bound: no per-caller re-bounding.
+        assert isinstance(SHARED_PLAN_CACHE, MemoCache)
+        assert SHARED_PLAN_CACHE.maxsize == PLAN_CACHE_SIZE == 4096
+        assert not hasattr(SHARED_PLAN_CACHE, "resize")
 
     def test_cache_equivalence_oracle(self):
         topology = heavy_hex(3)

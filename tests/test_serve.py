@@ -33,6 +33,7 @@ from repro.serve import (
     schedule_digest,
 )
 from repro.serve.loadtest import one_shot, percentile, run_load_test
+from repro.serve.service import PROP_DOMAINS, _scale_circuit, _scale_context
 from repro.verify.generators import scale_topology
 from repro.verify.oracles import diff_schedules
 
@@ -150,6 +151,52 @@ class TestCompileService:
         assert sim == scale_topology("grid:2x3").fingerprint
 
 
+class TestBoundedServeMemos:
+    """Every serve-side memo is keyed by client input, so each is bounded."""
+
+    def test_fresh_seed_circuits_evict_past_the_bound(self):
+        cache = _scale_circuit.cache
+        cache.clear()
+        service = CompileService()
+        extra = 3
+        for seed in range(cache.maxsize + extra):
+            response = service.handle(CompileRequest(DEVICE, "qaoa", seed))
+            assert response["status"] == "ok"
+        assert len(cache) == cache.maxsize
+        assert cache.evictions == extra
+        assert service.stats()["scale_circuit"] == {
+            "hits": 0,
+            "misses": cache.maxsize + extra,
+            "evictions": extra,
+            "size": cache.maxsize,
+        }
+
+    def test_grid_device_names_stay_within_the_bound(self):
+        cache = _scale_context.cache
+        cache.clear()
+        service = CompileService()
+        names = [f"grid:2x{h}" for h in range(2, cache.maxsize + 5)]
+        for name in names:
+            service.batch_key(CompileRequest(name, "qaoa"))
+        assert len(cache) == cache.maxsize
+        assert cache.evictions == len(names) - cache.maxsize
+        assert service.stats()["scale_context"]["size"] == cache.maxsize
+
+    def test_propagator_domains_stay_within_the_bound(self):
+        service = CompileService()
+        seeds = range(PROP_DOMAINS + 2)
+        for seed in seeds:
+            cell = Cell(
+                "QAOA", 4, "pert+zzx", kind="density",
+                device=DeviceSpec(rows=2, cols=2, seed=seed),
+                t1_us=100.0, t2_us=100.0,
+            )
+            assert service.handle(SimulateRequest(cell))["status"] == "ok"
+        prop = service.stats()["prop_caches"]
+        assert prop["instances"] == PROP_DOMAINS
+        assert prop["misses"] > 0
+
+
 @pytest.fixture(scope="module")
 def daemon():
     server = ReproServer(ServeConfig(port=0, workers=2))
@@ -208,12 +255,16 @@ class TestDaemon:
 
     def test_stats_endpoint(self, daemon):
         _, client = daemon
+        client.compile(DEVICE, "qaoa")
         stats = client.stats()
         assert stats["requests"] >= 1
         assert stats["batches"] >= 1
         assert set(stats["plan_cache"]) == {
             "hits", "misses", "evictions", "size",
         }
+        for name in ("scale_context", "scale_circuit"):
+            assert set(stats[name]) == {"hits", "misses", "evictions", "size"}
+        assert stats["scale_circuit"]["size"] >= 1
         assert "queue_depth" in stats
 
     def test_unknown_path_is_404(self, daemon):

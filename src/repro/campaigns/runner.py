@@ -17,15 +17,16 @@ land on :attr:`CampaignResult.dispatch` / ``dispatch_reason``.
   caches — which the experiments harness (``experiments/common.py``)
   also delegates to, so it is bit-identical to the historical inline
   loops and nothing is compiled or sampled twice;
-- the parallel path fans cells out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` in longest-job-first
-  order (cost-sorted, so workers pulling from the queue steal the cheap
-  tail while the expensive cells run — skewed grids keep every worker
-  busy).  Before the pool spawns, the *parent* pre-warms the shared
-  caches (pulse libraries, devices, plan cache, simulation schedules):
-  on fork-start platforms workers inherit every warm cache for free; on
-  spawn-start platforms the initializer ships a serialized plan-cache
-  snapshot instead.  Dispatch and persistence are *per cell*: every
+- the parallel path fans cells out over a :func:`warm_pool` (the one
+  fork-warm process pool in the package; ``repro serve --backend
+  process`` runs on it too) in longest-job-first order (cost-sorted, so
+  workers pulling from the queue steal the cheap tail while the
+  expensive cells run — skewed grids keep every worker busy).  Before
+  the pool spawns, the *parent* pre-warms the shared caches (pulse
+  libraries, devices, plan cache, simulation schedules): on fork-start
+  platforms workers inherit every warm cache for free; on spawn-start
+  platforms the initializer ships a serialized plan-cache snapshot
+  instead.  Dispatch and persistence are *per cell*: every
   completed cell is appended to the store the moment it lands, so a
   killed campaign — or a killed worker — loses at most the cells that
   were actually in flight.
@@ -42,9 +43,10 @@ quarantine policy — a cell that exhausts its attempts is recorded as a
 durable failure (:class:`CellOutcome`) and the campaign continues, until
 ``RetryPolicy.max_failures`` quarantines abort the run cleanly
 (:class:`CampaignAbort`; everything completed so far is already stored).
-A broken process pool (worker killed, OOM, segfault) is respawned and
-only the unfinished cells are re-dispatched; a pool that keeps breaking
-degrades to serial execution rather than giving up.
+A broken process pool (worker killed, OOM, segfault) is rebuilt whole
+and only the unfinished cells are re-dispatched; a pool that breaks more
+than :data:`MAX_POOL_RESPAWNS` times degrades to serial execution rather
+than giving up.
 """
 
 from __future__ import annotations
@@ -489,8 +491,8 @@ class _FailureTracker:
 
 # -- parallel plumbing ------------------------------------------------------
 
-#: How many times the pool may break (worker death) before the runner
-#: stops respawning it and finishes the campaign serially.
+#: Pool breaks (worker deaths) one campaign or serve batch survives; past
+#: it a campaign finishes serially and a batch answers ``WorkerCrashed``.
 MAX_POOL_RESPAWNS = 2
 
 #: Env knob: ``REPRO_COLD_WORKERS=1`` disables the parent pre-warm and
@@ -559,31 +561,29 @@ def _prewarm_parent(pending: list[Cell]) -> None:
                 schedule_for_cell(cell)
 
 
-def _plan_snapshot_for_workers() -> tuple | None:
-    """The plan-cache snapshot to ship via the pool initializer.
+def warm_pool(
+    workers: int, methods: Iterable[str], cold: bool = False
+) -> ProcessPoolExecutor:
+    """The one fork-warm process pool, shared by campaigns and serve.
 
-    Only needed on spawn-start platforms — forked workers inherit
-    ``SHARED_PLAN_CACHE`` directly, and shipping a copy would just tax
-    pickling.
+    Loads the pulse libraries in the *parent* so forked workers inherit
+    them (and ``SHARED_PLAN_CACHE``) for free; under spawn starts a
+    plan-cache snapshot rides the :func:`_warm_worker` initializer.
+    ``cold=True`` (the :data:`COLD_WORKERS_ENV` A/B) skips the parent
+    warm-up and has each worker clear what it inherited.
     """
-    if multiprocessing.get_start_method() == "fork":
-        return None
-    return SHARED_PLAN_CACHE.export()
-
-
-def prewarm_worker_parent(methods: Iterable[str]) -> tuple | None:
-    """Warm the caches a forked worker process should inherit.
-
-    The reusable core of the campaign parallel path's parent pre-warm,
-    shared with the ``repro serve`` process backend
-    (:mod:`repro.serve.procpool`): load the pulse libraries in the
-    *parent* so fork-started children get them for free, and return the
-    plan-cache snapshot (None on fork platforms) to hand to
-    :func:`warm_worker` in each child as the spawn-start fallback.
-    """
-    for method in sorted(set(methods)):
-        cached_library(method)
-    return _plan_snapshot_for_workers()
+    methods = tuple(sorted(set(methods)))
+    snapshot = None
+    if not cold:
+        for method in methods:
+            cached_library(method)
+        if multiprocessing.get_start_method() != "fork":
+            snapshot = SHARED_PLAN_CACHE.export()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_warm_worker,
+        initargs=(methods, snapshot, cold),
+    )
 
 
 #: Snapshot of this worker's one-time warmup cost, consumed by (attached
@@ -620,11 +620,6 @@ def _take_worker_warmup() -> dict | None:
     global _WORKER_WARMUP
     snap, _WORKER_WARMUP = _WORKER_WARMUP, None
     return snap
-
-
-#: Public name for the worker-process initializer — the serve process
-#: backend runs the same warm-up in its fork-warm workers.
-warm_worker = _warm_worker
 
 
 @dataclass
@@ -831,22 +826,17 @@ def _run_parallel(
     cold = _cold_workers()
     if not cold:
         _prewarm_parent(pending)
-    plan_snapshot = None if cold else _plan_snapshot_for_workers()
     # LJF ordering only changes *when* a cell is evaluated; records are
     # content-keyed, so store contents are identical under any order.
     todo: dict[Cell, None] = dict.fromkeys(
         order_longest_first(pending, calibration)
     )
-    methods = tuple(sorted({cell.method for cell in pending}))
+    methods = {cell.method for cell in pending}
     breaks = 0
     while todo:
         cells = list(todo)
         with span("campaign.pool_spawn"):
-            pool = ProcessPoolExecutor(
-                max_workers=min(decision.workers, len(cells)),
-                initializer=_warm_worker,
-                initargs=(methods, plan_snapshot, cold),
-            )
+            pool = warm_pool(min(decision.workers, len(cells)), methods, cold)
         broken = False
         try:
             futures = {

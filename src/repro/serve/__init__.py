@@ -7,9 +7,12 @@ library cache, per-(library, device, noise)
 campaign :class:`~repro.campaigns.store.ResultStore`) hot and serves
 concurrent compile/simulate requests over a local HTTP/JSON protocol
 with keep-alive connections.  Batches execute on a thread pool
-(``--backend thread``) or on fork-warm worker processes
-(``--backend process``, :class:`~repro.serve.procpool.ProcessWorkerPool`)
-for multicore scaling — see EXPERIMENTS.md "Serving compiles".
+(``--backend thread``) or, for multicore scaling, on the campaign
+runner's fork-warm process pool (``--backend process``,
+:class:`~repro.serve.procpool.ProcessWorkerPool`): a worker death
+rebuilds that whole pool and re-runs the batches in flight, up to
+``MAX_POOL_RESPAWNS`` times per batch — see EXPERIMENTS.md "Serving
+compiles".
 """
 
 from repro.serve.client import ServeClient, ServeError

@@ -20,10 +20,11 @@ Architecture (one front, two interchangeable backends):
   - ``backend="thread"`` (default): a thread pool calling the shared
     thread-safe :class:`CompileService` — one process, caches shared by
     construction, but GIL-bound for CPU-heavy compiles;
-  - ``backend="process"``: N fork-warm worker *processes*
-    (:class:`~repro.serve.procpool.ProcessWorkerPool`) fed over
-    per-worker pipes by dispatcher threads — true multicore compiles; a
-    dead worker is respawned and its in-flight batch re-dispatched.
+  - ``backend="process"``: dispatcher threads submit each batch to
+    :class:`~repro.serve.procpool.ProcessWorkerPool`, which runs on the
+    campaign runner's fork-warm :func:`~repro.campaigns.runner.warm_pool`
+    — true multicore compiles; a dead worker breaks the pool, which is
+    rebuilt whole, and every batch in flight re-runs on the new pool.
 
 Failures are *visible*: a handler error payload rides a non-200 status
 (500, or 503 for shutdown-drained requests), and malformed HTTP input is
@@ -44,6 +45,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.serve.procpool import ProcessWorkerPool
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, parse_request
 from repro.serve.service import CompileService
 from repro.telemetry import counter, gauge_max, observe, span
@@ -175,23 +177,6 @@ class ReproServer:
         if loop is not None and stop is not None:
             loop.call_soon_threadsafe(stop.set)
 
-    def _start_procpool(self):
-        """Fork the worker processes (before any helper threads exist)."""
-        from repro.serve.procpool import ProcessWorkerPool
-
-        store = self.config.store
-        if store is not None:
-            # Concurrent appends from N processes would interleave in one
-            # JSONL file; per-worker in-memory stores still answer repeat
-            # requests warm for the daemon's lifetime.
-            logger.warning(
-                "--store is not shared across process workers; "
-                "simulate results are cached per worker in memory"
-            )
-        pool = ProcessWorkerPool(self.config.workers, store=None)
-        pool.start()
-        return pool
-
     async def _amain(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
@@ -199,7 +184,16 @@ class ReproServer:
         # Fork the process backend's workers first: children must not
         # inherit a half-started thread pool or in-flight batches.
         if self.config.backend == "process":
-            self.procpool = self._start_procpool()
+            if self.config.store is not None:
+                # Concurrent appends from N processes would interleave in
+                # one JSONL file; per-worker in-memory stores still answer
+                # repeat requests warm for the daemon's lifetime.
+                logger.warning(
+                    "--store is not shared across process workers; "
+                    "simulate results are cached per worker in memory"
+                )
+            self.procpool = ProcessWorkerPool(self.config.workers)
+            self.procpool.start()
         # Backpressure: the batcher only dispatches while a worker slot is
         # free, so saturation fills the bounded queue (and trips 503s)
         # instead of growing the executor's unbounded internal queue.

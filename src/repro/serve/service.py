@@ -7,8 +7,9 @@ compile/simulate path and keeps it hot across requests:
   :class:`~repro.scheduling.plan_cache.SuppressionPlanCache` — one
   Algorithm-1 plan serves every circuit that asks for the same
   ``(topology, Q, alpha, top_k)`` problem;
-- bounded memos of the scale-device contexts and benchmark circuits
-  that compile requests name (``serve.scale_context``/``scale_circuit``);
+- bounded memos, one pair per service, of the scale-device contexts
+  and benchmark circuits that compile requests name
+  (``serve.scale_context``/``scale_circuit``);
 - the pulse-library cache (via the campaign runner's per-process
   ``cached_library``, which itself sits on the warm pulse-cache file);
 - per-``(library, device, noise)``
@@ -38,7 +39,7 @@ from repro.campaigns.fingerprint import library_fingerprint
 from repro.campaigns.runner import cached_topology, supervised_evaluate
 from repro.campaigns.spec import DEFAULT_POLICY, Cell, RetryPolicy, cell_key
 from repro.campaigns.store import ResultStore, record_status
-from repro.memo import MemoCache, memoized
+from repro.memo import MemoCache
 from repro.runtime.backends import LayerPropagatorCache
 from repro.scheduling.plan_cache import PLAN_CACHE_SIZE, SuppressionPlanCache
 from repro.scheduling.requirement import SuppressionRequirement
@@ -60,9 +61,17 @@ PROP_CACHE_SIZE = 512
 PROP_DOMAINS = 4
 
 
-@memoized("serve.scale_context", maxsize=16)
+#: Bound of each service's ``serve.scale_context`` and
+#: ``serve.scale_circuit`` memos.  Compile requests usually carry fresh
+#: seeds, so the circuit memo rarely hits; the bound is small on purpose:
+#: an eagle/qaoa circuit is ~2600 gate objects that every full garbage
+#: collection re-traverses, and 64 entries measured ~15% slower serve
+#: compiles than 16 (GC time alone).
+SCALE_CACHE_SIZE = 16
+
+
 def _scale_context(device: str):
-    """(topology, requirement) for a scale-device name, built once.
+    """(topology, requirement) for a scale-device name.
 
     Also pre-warms the topology's one-time structures (distance matrix,
     planar dual) so the first compile request doesn't pay for them — the
@@ -73,16 +82,6 @@ def _scale_context(device: str):
     topology.distance_matrix
     topology.dual_simple
     return topology, requirement
-
-
-# Compile requests usually carry fresh seeds, so this memo rarely hits.
-# The bound is small on purpose: an eagle/qaoa circuit is ~2600 gate
-# objects that every full garbage collection re-traverses, and 64 entries
-# measured ~15% slower serve compiles than 16 (GC time alone).
-@memoized("serve.scale_circuit", maxsize=16)
-def _scale_circuit(device: str, circuit: str, seed: int):
-    topology, _ = _scale_context(device)
-    return bench_circuit(topology, circuit, seed=seed)
 
 
 class CompileService:
@@ -102,6 +101,8 @@ class CompileService:
             plan_cache = SuppressionPlanCache(PLAN_CACHE_SIZE)
         self.plan_cache = plan_cache
         self._prop_caches = MemoCache("serve.prop_domain", PROP_DOMAINS)
+        self.scale_contexts = MemoCache("serve.scale_context", SCALE_CACHE_SIZE)
+        self.scale_circuits = MemoCache("serve.scale_circuit", SCALE_CACHE_SIZE)
         # No path -> in-memory store: repeat simulate requests are still
         # answered from the first evaluation for the daemon's lifetime.
         if store is None or isinstance(store, str):
@@ -127,7 +128,7 @@ class CompileService:
         resolution per device, so this is cheap on the event loop.
         """
         if isinstance(request, CompileRequest):
-            topology, _ = _scale_context(request.device)
+            topology, _ = self._context(request.device)
             return topology.fingerprint
         device = request.cell.device
         return cached_topology(
@@ -171,9 +172,15 @@ class CompileService:
             counter("serve.errors")
         return response
 
+    def _context(self, device: str):
+        return self.scale_contexts.get(device, lambda: _scale_context(device))
+
     def _handle_compile(self, request: CompileRequest) -> dict:
-        topology, requirement = _scale_context(request.device)
-        circuit = _scale_circuit(request.device, request.circuit, request.seed)
+        topology, requirement = self._context(request.device)
+        circuit = self.scale_circuits.get(
+            (request.device, request.circuit, request.seed),
+            lambda: bench_circuit(topology, request.circuit, seed=request.seed),
+        )
         t0 = time.perf_counter()
         with span("serve.compile", group=f"{request.device}/{request.circuit}"):
             schedule = zzx_schedule(
@@ -277,8 +284,8 @@ class CompileService:
             }
         stats["plan_cache"] = self.plan_cache.stats
         stats["prop_caches"] = prop
-        stats["scale_context"] = _scale_context.cache.stats
-        stats["scale_circuit"] = _scale_circuit.cache.stats
+        stats["scale_context"] = self.scale_contexts.stats
+        stats["scale_circuit"] = self.scale_circuits.stats
         stats["store"] = {
             "path": str(self.store.path) if self.store is not None and self.store.path else None,
             "records": len(self.store) if self.store is not None else 0,

@@ -33,7 +33,7 @@ from repro.serve import (
     schedule_digest,
 )
 from repro.serve.loadtest import one_shot, percentile, run_load_test
-from repro.serve.service import PROP_DOMAINS, _scale_circuit, _scale_context
+from repro.serve.service import PROP_DOMAINS, SCALE_CACHE_SIZE
 from repro.verify.generators import scale_topology
 from repro.verify.oracles import diff_schedules
 
@@ -155,9 +155,9 @@ class TestBoundedServeMemos:
     """Every serve-side memo is keyed by client input, so each is bounded."""
 
     def test_fresh_seed_circuits_evict_past_the_bound(self):
-        cache = _scale_circuit.cache
-        cache.clear()
         service = CompileService()
+        cache = service.scale_circuits
+        assert cache.maxsize == SCALE_CACHE_SIZE == 16
         extra = 3
         for seed in range(cache.maxsize + extra):
             response = service.handle(CompileRequest(DEVICE, "qaoa", seed))
@@ -172,15 +172,28 @@ class TestBoundedServeMemos:
         }
 
     def test_grid_device_names_stay_within_the_bound(self):
-        cache = _scale_context.cache
-        cache.clear()
         service = CompileService()
+        cache = service.scale_contexts
         names = [f"grid:2x{h}" for h in range(2, cache.maxsize + 5)]
         for name in names:
             service.batch_key(CompileRequest(name, "qaoa"))
         assert len(cache) == cache.maxsize
         assert cache.evictions == len(names) - cache.maxsize
         assert service.stats()["scale_context"]["size"] == cache.maxsize
+
+    def test_two_services_keep_independent_scale_memos(self):
+        """One service's compile traffic never shows in another's stats."""
+        busy, idle = CompileService(), CompileService()
+        for seed in range(3):
+            assert busy.handle(CompileRequest(DEVICE, "qaoa", seed))["status"] == "ok"
+        assert busy.stats()["scale_circuit"]["misses"] == 3
+        assert idle.stats()["scale_circuit"] == {
+            "hits": 0, "misses": 0, "evictions": 0, "size": 0,
+        }
+        assert idle.stats()["scale_context"]["size"] == 0
+        assert idle.handle(CompileRequest(DEVICE, "qaoa", 0))["status"] == "ok"
+        assert idle.stats()["scale_circuit"]["misses"] == 1
+        assert busy.stats()["scale_circuit"]["misses"] == 3
 
     def test_propagator_domains_stay_within_the_bound(self):
         service = CompileService()

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import telemetry
+from repro.campaigns.runner import MAX_POOL_RESPAWNS
 from repro.campaigns.spec import Cell, DeviceSpec
 from repro.serve import (
     ProcessWorkerPool,
@@ -23,8 +24,8 @@ from repro.serve import (
     ServeConfig,
     ServeError,
 )
+from repro.serve import procpool
 from repro.serve.loadtest import one_shot
-from repro.serve.procpool import MAX_REDISPATCH
 from repro.serve.protocol import CompileRequest, SimulateRequest
 
 DEVICE = "grid:2x3"
@@ -198,4 +199,105 @@ class TestProcessWorkerPool:
             pool.shutdown()
 
     def test_redispatch_budget_is_bounded(self):
-        assert MAX_REDISPATCH >= 1
+        assert MAX_POOL_RESPAWNS >= 1
+
+
+def _sim_batch(bench: str) -> list:
+    """Three fresh simulate cells: ~1 s of work, so a kill lands mid-batch."""
+    return [
+        SimulateRequest(Cell(bench, size, "pert+zzx", device=SIM_CELL.device))
+        for size in (4, 5, 6)
+    ]
+
+
+def _run_in_threads(pool, batches: dict):
+    """Start one ``run_batch`` thread per batch; returns a join function
+    that waits for them and gives ``{name: responses}``."""
+    box = {}
+    threads = [
+        threading.Thread(
+            target=lambda name=name, batch=batch: box.update(
+                {name: pool.run_batch(batch)}
+            )
+        )
+        for name, batch in batches.items()
+    ]
+    for thread in threads:
+        thread.start()
+
+    def join():
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        return box
+
+    return join
+
+
+class TestWholePoolRebuild:
+    """A worker death breaks the whole pool: one rebuild, every batch re-run."""
+
+    def test_kill_during_two_batches_rebuilds_once(self):
+        pool = ProcessWorkerPool(2)
+        pool.start()
+        try:
+            batches = {"qaoa": _sim_batch("QAOA"), "ising": _sim_batch("Ising")}
+            join = _run_in_threads(pool, batches)
+            time.sleep(0.3)  # both batches running on the two workers
+            os.kill(pool.pids()[0], signal.SIGKILL)
+            box = join()
+            for name, batch in batches.items():
+                assert [r["status"] for r in box[name]] == ["ok"] * len(batch)
+            assert pool.respawns == 1
+            assert len(pool.pids()) == 2
+        finally:
+            pool.shutdown()
+
+    def test_abandons_batch_past_the_respawn_budget(self, monkeypatch):
+        monkeypatch.setattr(procpool, "MAX_POOL_RESPAWNS", 0)
+        pool = ProcessWorkerPool(1)
+        pool.start()
+        try:
+            batch = _sim_batch("QAOA")
+            join = _run_in_threads(pool, {"qaoa": batch})
+            time.sleep(0.3)
+            os.kill(pool.pids()[0], signal.SIGKILL)
+            responses = join()["qaoa"]
+            assert len(responses) == len(batch)
+            for response in responses:
+                assert response["status"] == "error"
+                assert response["kind"] == "simulate"
+                assert response["error"]["type"] == "WorkerCrashed"
+            # The broken pool was still rebuilt: later batches are served.
+            assert pool.respawns == 1
+            again = pool.run_batch([CompileRequest(DEVICE, "qaoa", 0)])
+            assert again[0]["status"] == "ok"
+        finally:
+            pool.shutdown()
+
+    def test_stats_counters_survive_a_respawn(self):
+        pool = ProcessWorkerPool(1)
+        pool.start()
+        try:
+            first = [CompileRequest(DEVICE, "qaoa", seed) for seed in range(3)]
+            assert all(r["status"] == "ok" for r in pool.run_batch(first))
+            before = pool.stats()
+            assert before["requests"] == 3
+            os.kill(pool.pids()[0], signal.SIGKILL)
+            second = pool.run_batch([CompileRequest(DEVICE, "qv", 0)])
+            assert second[0]["status"] == "ok"
+            after = pool.stats()
+            assert pool.respawns == 1
+            assert after["requests"] >= before["requests"]
+            assert after["requests"] == 4
+            assert after["scale_circuit"]["misses"] == 4
+        finally:
+            pool.shutdown()
+
+    def test_stats_sums_every_numeric_leaf(self):
+        total = {}
+        procpool._add_leaves(total, {"a": 1, "nested": {"x": 2}, "path": None})
+        procpool._add_leaves(
+            total, {"a": 2, "nested": {"x": 3, "new": 1}, "path": "p"}
+        )
+        assert total == {"a": 3, "nested": {"x": 5, "new": 1}, "path": None}

@@ -60,6 +60,21 @@ class Gate:
         return f"{self.name}{body}@{list(self.qubits)}"
 
 
+#: The interning table behind :func:`identity_gate`: one shared
+#: ``Gate("id", (q,))`` per qubit index.  Gates are frozen, so layers may
+#: share them; the table grows only with the widest device scheduled.
+IDENTITY_GATES: dict[int, Gate] = {}
+
+
+def identity_gate(qubit: int) -> Gate:
+    """The interned identity gate on ``qubit`` (ZZXSched's padding)."""
+    gate = IDENTITY_GATES.get(qubit)
+    if gate is None:
+        # setdefault keeps one winner if two threads intern the same qubit.
+        gate = IDENTITY_GATES.setdefault(qubit, Gate("id", (qubit,)))
+    return gate
+
+
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
     return rz(phi) @ ry(theta) @ rz(lam)
 

@@ -19,8 +19,9 @@ class Layer:
     """One step of simultaneous pulses.
 
     ``gates`` holds the circuit's own physical gates; ``identities`` the
-    supplemental identity gates added by ZZ-aware scheduling; ``virtual``
-    the zero-duration rz gates absorbed into the layer start.
+    supplemental identity gates added by ZZ-aware scheduling (interned and
+    shared across layers, see :func:`~repro.circuits.gates.identity_gate`);
+    ``virtual`` the zero-duration rz gates absorbed into the layer start.
     """
 
     gates: list[Gate] = field(default_factory=list)
@@ -44,11 +45,14 @@ class Layer:
     def validate(self) -> None:
         """No qubit may carry two simultaneous pulses."""
         seen: set[int] = set()
-        for gate in self.physical_gates:
-            for q in gate.qubits:
-                if q in seen:
-                    raise ValueError(f"qubit {q} is driven twice in one layer")
-                seen.add(q)
+        for gates in (self.gates, self.identities):
+            for gate in gates:
+                for q in gate.qubits:
+                    if q in seen:
+                        raise ValueError(
+                            f"qubit {q} is driven twice in one layer"
+                        )
+                    seen.add(q)
 
 
 @dataclass

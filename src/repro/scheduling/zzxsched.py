@@ -11,6 +11,11 @@ priority and parallelism the second:
   split the two *closest* gates into separate groups and grow the groups
   farthest-gate-first while ``R`` stays satisfied (Theorem 6.1 guarantees
   the K closest gates land in K different layers).
+
+The identities that pad each layer (Procedure Schedule, lines 10-13) come
+from :func:`~repro.circuits.gates.identity_gate`'s interning table: every
+layer of every schedule shares one frozen ``id`` gate per qubit instead of
+allocating its own.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import SchedulingFrontier
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, identity_gate
 from repro.device.topology import Topology
 from repro.graphs.suppression import (
     DEFAULT_ALPHA,
@@ -129,7 +134,7 @@ def zzx_schedule(
                 layer = Layer(
                     gates=gates,
                     identities=[
-                        Gate("id", (q,)) for q in sorted(identity_qubits)
+                        identity_gate(q) for q in sorted(identity_qubits)
                     ],
                     virtual=virtual,
                     plan=plan,

@@ -138,7 +138,11 @@ class ReproServer:
                 f"unknown serve backend {self.config.backend!r}; "
                 f"known: {', '.join(BACKENDS)}"
             )
-        self.service = service or CompileService(store=self.config.store)
+        # Under the process backend the front service only resolves batch
+        # keys and counts batches; workers keep their own in-memory stores,
+        # so a --store file opened here would never be written.
+        store = None if self.config.backend == "process" else self.config.store
+        self.service = service or CompileService(store=store)
         #: Actual bound port, available once ``started`` is set (lets
         #: tests and the load harness bind port 0 for an ephemeral port).
         self.port: int | None = None

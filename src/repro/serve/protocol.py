@@ -35,6 +35,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.campaigns.spec import Cell
+from repro.circuits.gates import IDENTITY_GATES
 from repro.scheduling.layer import Schedule
 
 #: Protocol version, echoed by /health so clients can detect skew.
@@ -136,6 +137,27 @@ def schedule_signature(schedule: Schedule) -> dict:
     }
 
 
+#: Digest bytes of each interned identity gate, keyed by ``id(gate)``.
+#: Only gates held by :data:`~repro.circuits.gates.IDENTITY_GATES` are
+#: stored; that table keeps them alive, so no other gate can share an id.
+_IDENTITY_BYTES: dict[int, bytes] = {}
+
+
+def _gate_bytes(gate) -> bytes:
+    """The digest encoding of one gate: ``repr((name, qubits, params))``."""
+    return repr((gate.name, gate.qubits, gate.params)).encode()
+
+
+def _identity_bytes(gate) -> bytes:
+    """:func:`_gate_bytes`, computed once per interned identity gate."""
+    encoded = _IDENTITY_BYTES.get(id(gate))
+    if encoded is None:
+        encoded = _gate_bytes(gate)
+        if IDENTITY_GATES.get(gate.qubits[0]) is gate:
+            _IDENTITY_BYTES[id(gate)] = encoded
+    return encoded
+
+
 def schedule_digest(schedule: Schedule) -> str:
     """Content hash over :func:`schedule_signature`'s content (serve's
     equivalence pin).
@@ -145,20 +167,21 @@ def schedule_digest(schedule: Schedule) -> str:
     itself.  Section tags keep the encoding injective (a gate can't slide
     between gates/identities/virtual or across layers without changing
     the digest), so equal digests still mean an empty oracle diff.
+
+    Each section is hashed as one joined byte string.  Circuit gates are
+    encoded inline; the interned identity padding reuses bytes encoded
+    once per process (:func:`_identity_bytes`).  The hashed stream is the
+    per-gate ``repr((name, qubits, params))`` concatenation either way.
     """
     h = hashlib.sha256()
     for layer in schedule.layers:
-        for tag, gates in (
-            (b"\x01g", layer.gates),
-            (b"\x01i", layer.identities),
-            (b"\x01v", layer.virtual),
-        ):
-            h.update(tag)
-            for g in gates:
-                h.update(
-                    repr((g.name, tuple(g.qubits), tuple(g.params))).encode()
-                )
-    h.update(b"\x01t")
-    for g in schedule.trailing_virtual:
-        h.update(repr((g.name, tuple(g.qubits), tuple(g.params))).encode())
+        h.update(b"\x01g" + b"".join([_gate_bytes(g) for g in layer.gates]))
+        h.update(
+            b"\x01i"
+            + b"".join([_identity_bytes(g) for g in layer.identities])
+        )
+        h.update(b"\x01v" + b"".join([_gate_bytes(g) for g in layer.virtual]))
+    h.update(
+        b"\x01t" + b"".join([_gate_bytes(g) for g in schedule.trailing_virtual])
+    )
     return h.hexdigest()[:24]

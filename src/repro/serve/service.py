@@ -17,9 +17,9 @@ compile/simulate path and keeps it hot across requests:
   simulate requests — *keyed* instances, because a propagator cache must
   not outlive one (library, device couplings, noise) validity domain —
   held in a bounded memo of their own;
-- an optional campaign :class:`~repro.campaigns.store.ResultStore`, so
-  repeated simulate requests are answered from disk exactly like a
-  resumed sweep.
+- a campaign :class:`~repro.campaigns.store.ResultStore` (in memory
+  unless given a path), so repeated simulate requests are answered from
+  it exactly like a resumed sweep.
 
 Handlers are synchronous and thread-safe: the daemon calls them from a
 thread pool, so every piece of shared state is either lock-guarded here
@@ -218,36 +218,34 @@ class CompileService:
     def _handle_simulate(self, request: SimulateRequest) -> dict:
         cell = request.cell
         key = cell_key(cell, self._fingerprint)
-        if self.store is not None:
+        with self._lock:
+            record = self.store.get(key)
+        if record is not None and record_status(record) == "ok":
             with self._lock:
-                record = self.store.get(key)
-            if record is not None and record_status(record) == "ok":
-                with self._lock:
-                    self.store_hits += 1
-                counter("serve.store_hit")
-                return {
-                    "status": "ok",
-                    "kind": "simulate",
-                    "key": key,
-                    "result": record["result"],
-                    "elapsed_s": 0.0,
-                    "cached": True,
-                }
+                self.store_hits += 1
+            counter("serve.store_hit")
+            return {
+                "status": "ok",
+                "kind": "simulate",
+                "key": key,
+                "result": record["result"],
+                "elapsed_s": 0.0,
+                "cached": True,
+            }
         outcome = supervised_evaluate(
             cell, self.policy, prop_cache=self._prop_cache_for(cell)
         )
-        if self.store is not None:
-            with self._lock:
-                self.store.put(
-                    cell,
-                    outcome.result,
-                    fingerprint=self._fingerprint,
-                    elapsed_s=outcome.elapsed_s,
-                    status=outcome.status,
-                    error=outcome.error,
-                    attempts=outcome.attempts,
-                    telemetry=outcome.telemetry,
-                )
+        with self._lock:
+            self.store.put(
+                cell,
+                outcome.result,
+                fingerprint=self._fingerprint,
+                elapsed_s=outcome.elapsed_s,
+                status=outcome.status,
+                error=outcome.error,
+                attempts=outcome.attempts,
+                telemetry=outcome.telemetry,
+            )
         if not outcome.ok:
             return {
                 "status": "error",
@@ -287,7 +285,7 @@ class CompileService:
         stats["scale_context"] = self.scale_contexts.stats
         stats["scale_circuit"] = self.scale_circuits.stats
         stats["store"] = {
-            "path": str(self.store.path) if self.store is not None and self.store.path else None,
-            "records": len(self.store) if self.store is not None else 0,
+            "path": str(self.store.path) if self.store.path else None,
+            "records": len(self.store),
         }
         return stats

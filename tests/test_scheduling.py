@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, compile_circuit, transpile
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, identity_gate
 from repro.circuits.library import qaoa, qft
 from repro.device import grid, line
 from repro.runtime.ideal import ideal_schedule_state
@@ -94,6 +94,22 @@ class TestZZXSched:
         schedule = zzx_schedule(c, grid23)
         first = schedule.layers[0]
         assert first.identities  # the rest of the partition is pulsed
+
+    def test_identity_padding_is_interned(self, grid34):
+        """Layers share one identity gate per qubit, across schedules too."""
+        circuit = compile_circuit(qaoa(9, seed=2), grid34).circuit
+        first = zzx_schedule(circuit, grid34)
+        second = zzx_schedule(circuit, grid34)
+        seen = {}
+        for schedule in (first, second):
+            for layer in schedule.layers:
+                for gate in layer.identities:
+                    assert gate == Gate("id", gate.qubits)
+                    assert seen.setdefault(gate.qubits, gate) is gate
+                    assert gate is identity_gate(gate.qubits[0])
+        # Some qubit is padded in more than one layer, so sharing is real.
+        padded = [g for l in first.layers for g in l.identities]
+        assert len(padded) > len(seen)
 
     def test_requirement_respected_on_average(self, grid34):
         circuit = compile_circuit(qaoa(9, seed=2), grid34).circuit
@@ -187,6 +203,14 @@ class TestLayerModel:
     def test_double_drive_rejected(self):
         layer = Layer(gates=[Gate("rx90", (0,))], identities=[Gate("id", (0,))])
         with pytest.raises(ValueError):
+            layer.validate()
+
+    def test_interned_identity_on_a_gate_qubit_is_driven_twice(self):
+        layer = Layer(
+            gates=[Gate("rzx90", (0, 1))],
+            identities=[identity_gate(2), identity_gate(1)],
+        )
+        with pytest.raises(ValueError, match="driven twice"):
             layer.validate()
 
     def test_pulsed_qubits(self):

@@ -100,6 +100,22 @@ class TestProtocol:
         assert schedule_digest(a) != schedule_digest(c)
 
 
+class TestPinnedDigests:
+    """Literal digests, so an encoding change fails here, not only a
+    self-inconsistent one (values from zzbench's expected serve outputs)."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [(0, "816bb08cf224fd663d0ac416"), (1, "7978abcf492b409cf3718982")],
+    )
+    def test_eagle_qaoa_digest(self, seed, digest):
+        response = CompileService().handle(CompileRequest("eagle", "qaoa", seed))
+        assert response["status"] == "ok"
+        assert response["digest"] == digest
+        assert response["num_layers"] == 279
+        assert response["num_gates"] == 2600
+
+
 class TestCompileService:
     def test_compile_matches_one_shot_cli_path(self):
         service = CompileService()
@@ -140,6 +156,15 @@ class TestCompileService:
         assert again["cached"] is True
         assert again["result"] == first["result"]
         assert service.stats()["store_hits"] == 1
+
+    def test_process_backend_front_opens_no_store(self, tmp_path):
+        """Process workers keep their own stores; the front must not load
+        a --store file that nothing writes."""
+        path = str(tmp_path / "store.jsonl")
+        front = ReproServer(ServeConfig(backend="process", store=path))
+        assert front.service.store.path is None
+        threaded = ReproServer(ServeConfig(backend="thread", store=path))
+        assert str(threaded.service.store.path) == path
 
     def test_batch_key_groups_by_topology(self):
         service = CompileService()

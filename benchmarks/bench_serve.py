@@ -2,7 +2,7 @@
 
 Boots one in-process ``repro serve`` daemon *per backend* (thread /
 process) and times complete client round-trips (HTTP parse, queue,
-batch, compile, response) with warm caches — the steady state the daemon
+compile, response) with warm caches — the steady state the daemon
 exists for — plus a concurrent burst, and the per-request cold-process
 baseline each request would pay without the daemon (fresh interpreter,
 imports, topology build, cold plan cache).  The warm-request/cold

@@ -491,8 +491,9 @@ class _FailureTracker:
 
 # -- parallel plumbing ------------------------------------------------------
 
-#: Pool breaks (worker deaths) one campaign or serve batch survives; past
-#: it a campaign finishes serially and a batch answers ``WorkerCrashed``.
+#: Pool breaks (worker deaths) one campaign or serve request survives;
+#: past it a campaign finishes serially and a request answers
+#: ``WorkerCrashed``.
 MAX_POOL_RESPAWNS = 2
 
 #: Env knob: ``REPRO_COLD_WORKERS=1`` disables the parent pre-warm and

@@ -30,8 +30,8 @@ Subcommands:
   threads or fork-warm worker processes (``--backend thread|process``;
   see "Serving compiles" in EXPERIMENTS.md);
 - ``bench-serve`` — load-test an in-process daemon with concurrent mixed
-  workloads and report latency percentiles, batching, and the speedup
-  over per-request cold processes.
+  workloads and report latency percentiles, cache statistics, and the
+  speedup over per-request cold processes.
 
 Campaign options (``--workers``, ``--store``, ``--seeds``, ``--full``,
 ``--backend``, ``--trajectories``) are shared by ``run`` and ``sweep``;
@@ -704,8 +704,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         queue_size=args.queue_size,
-        batch_window_s=args.batch_window,
-        max_batch=args.max_batch,
         workers=args.serve_workers,
         backend=args.backend,
         store=args.store,
@@ -715,8 +713,7 @@ def _cmd_serve(args) -> int:
     print(
         f"repro serve listening on {config.host}:{server.port} "
         f"({config.workers} {config.backend} workers, "
-        f"queue {config.queue_size}, "
-        f"batch window {config.batch_window_s * 1000:.0f}ms) — "
+        f"queue {config.queue_size}) — "
         "Ctrl-C or POST /shutdown to stop"
     )
     try:
@@ -743,8 +740,6 @@ def _cmd_bench_serve(args) -> int:
     config = ServeConfig(
         port=0,
         queue_size=args.queue_size,
-        batch_window_s=args.batch_window,
-        max_batch=args.max_batch,
         workers=args.serve_workers,
         backend=args.backend,
     )
@@ -1069,20 +1064,6 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
         help="bounded request queue; overflow answers 503 (default 256)",
     )
     parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="extra wait to coalesce same-topology requests while all "
-        "workers are busy (default 0.01; idle daemons dispatch at once)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="requests per batch cap (default 32)",
-    )
-    parser.add_argument(
         "--serve-workers",
         type=int,
         default=4,
@@ -1094,7 +1075,7 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
         # Mirrors repro.serve.daemon.BACKENDS (not imported here: parser
         # construction must not pay for the serve stack).
         choices=("thread", "process"),
-        help="batch executor: 'thread' shares every cache in one process "
+        help="request executor: 'thread' shares every cache in one process "
         "(GIL-bound); 'process' forks warm worker processes for "
         "multicore compile scaling (default thread)",
     )

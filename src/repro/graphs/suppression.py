@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,16 @@ class SuppressionPlan:
     def objective(self, alpha: float) -> float:
         return self.metrics.objective(alpha)
 
+    @cached_property
+    def _sides(self) -> tuple[frozenset[int], frozenset[int]]:
+        # Built once per plan: cached plans answer every layer's lookup.
+        return tuple(
+            frozenset(q for q, c in self.coloring.items() if c == color)
+            for color in (0, 1)
+        )
+
     def partition(self, color: int) -> frozenset[int]:
-        return frozenset(q for q, c in self.coloring.items() if c == color)
+        return self._sides[color]
 
     def side_of(self, qubits: Iterable[int]) -> frozenset[int]:
         """The partition containing ``qubits`` (which must be monochromatic)."""

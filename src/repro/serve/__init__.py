@@ -6,12 +6,13 @@ library cache, per-(library, device, noise)
 :class:`~repro.runtime.backends.LayerPropagatorCache` instances, and a
 campaign :class:`~repro.campaigns.store.ResultStore`) hot and serves
 concurrent compile/simulate requests over a local HTTP/JSON protocol
-with keep-alive connections.  Batches execute on a thread pool
-(``--backend thread``) or, for multicore scaling, on the campaign
-runner's fork-warm process pool (``--backend process``,
+with keep-alive connections.  Each of ``--serve-workers`` worker slots
+serves one request at a time, on a thread pool (``--backend thread``)
+or, for multicore scaling, on the campaign runner's fork-warm process
+pool (``--backend process``,
 :class:`~repro.serve.procpool.ProcessWorkerPool`): a worker death
-rebuilds that whole pool and re-runs the batches in flight, up to
-``MAX_POOL_RESPAWNS`` times per batch — see EXPERIMENTS.md "Serving
+rebuilds that whole pool and re-runs the requests in flight, up to
+``MAX_POOL_RESPAWNS`` times per request — see EXPERIMENTS.md "Serving
 compiles".
 """
 

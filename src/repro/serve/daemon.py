@@ -1,6 +1,6 @@
 """The ``repro serve`` daemon: asyncio front, thread- or process-pool back.
 
-Architecture (one front, two interchangeable backends):
+Architecture (one front, one request per worker slot, two executors):
 
 - an :mod:`asyncio` server accepts local HTTP/1.1 connections — now with
   **keep-alive**: a client reuses one connection across a session
@@ -10,28 +10,28 @@ Architecture (one front, two interchangeable backends):
 - accepted requests enter a **bounded** queue — when it is full the
   daemon answers ``503 {"status": "overloaded"}`` immediately instead of
   buffering unboundedly;
-- a single batcher coroutine drains the queue adaptively — whatever is
-  already queued ships at once when a worker is free, and while all
-  workers are busy it keeps coalescing up to ``batch_window_s`` more —
-  groups what it drained by topology fingerprint
-  (:meth:`CompileService.batch_key`) and hands each group to the
-  configured backend:
+- ``workers`` worker coroutines each take one request off the queue and
+  await its answer from the configured executor:
 
   - ``backend="thread"`` (default): a thread pool calling the shared
     thread-safe :class:`CompileService` — one process, caches shared by
     construction, but GIL-bound for CPU-heavy compiles;
-  - ``backend="process"``: dispatcher threads submit each batch to
-    :class:`~repro.serve.procpool.ProcessWorkerPool`, which runs on the
-    campaign runner's fork-warm :func:`~repro.campaigns.runner.warm_pool`
-    — true multicore compiles; a dead worker breaks the pool, which is
-    rebuilt whole, and every batch in flight re-runs on the new pool.
+  - ``backend="process"``: :meth:`ProcessWorkerPool.run
+    <repro.serve.procpool.ProcessWorkerPool.run>` on the campaign
+    runner's fork-warm :func:`~repro.campaigns.runner.warm_pool` — true
+    multicore compiles; a dead worker breaks the pool, which is rebuilt
+    whole, and every request in flight re-runs on the new pool.
+
+  A worker slot only takes a request when it is free, so saturation
+  fills the bounded queue (and trips 503s) instead of an executor's
+  unbounded internal queue.
 
 Failures are *visible*: a handler error payload rides a non-200 status
-(500, or 503 for shutdown-drained requests), and malformed HTTP input is
-answered with a diagnosable ``400``/``413`` before the connection
-closes — never a silent reset.
+(500, or 503 for requests drained or refused at shutdown), and malformed
+HTTP input is answered with a diagnosable ``400``/``413`` before the
+connection closes — never a silent reset.
 
-Queue wait (enqueue → batch start) is observed as ``serve.queue_wait``
+Queue wait (enqueue → worker start) is observed as ``serve.queue_wait``
 so ``repro stats`` shows where latency goes under load.
 """
 
@@ -44,11 +44,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.serve.procpool import ProcessWorkerPool
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, parse_request
 from repro.serve.service import CompileService
-from repro.telemetry import counter, gauge_max, observe, span
+from repro.telemetry import counter, observe
 
 logger = logging.getLogger(__name__)
 
@@ -87,13 +88,8 @@ class ServeConfig:
     port: int = DEFAULT_PORT
     #: Bounded request queue; overflow answers 503 instead of buffering.
     queue_size: int = 256
-    #: Extra seconds the batcher waits for company while all workers are
-    #: busy; an idle daemon always dispatches immediately.
-    batch_window_s: float = 0.01
-    #: Hard cap on requests per batch.
-    max_batch: int = 32
-    #: Worker threads (thread backend) or worker processes (process
-    #: backend) executing batches.
+    #: Worker slots, each serving one request at a time on a worker
+    #: thread (thread backend) or worker process (process backend).
     workers: int = 4
     #: ``"thread"`` (one process, GIL-shared caches) or ``"process"``
     #: (fork-warm worker processes for multicore scaling).
@@ -105,18 +101,24 @@ class ServeConfig:
 
 @dataclass
 class _Pending:
-    """One queued request, waiting for a batch slot."""
+    """One queued request, waiting for a worker slot."""
 
     request: object
     future: asyncio.Future
     enqueued: float = field(default_factory=time.perf_counter)
 
 
+#: The answer to a request the daemon will not serve because it is stopping.
+_SHUTDOWN = {"status": "error",
+             "error": {"type": "Shutdown", "message": "server shutting down"}}
+
+
 def _status_for(response: dict) -> int:
     """HTTP status for a handler response: failures must be visible.
 
-    ``status: "error"`` payloads ride a 500 — except requests drained at
-    shutdown, whose ``Shutdown`` error is a 503 (retry elsewhere/later).
+    ``status: "error"`` payloads ride a 500 — except requests drained or
+    refused at shutdown, whose ``Shutdown`` error is a 503 (retry
+    elsewhere/later).
     An error answered with 200 would make every caller re-inspect the
     payload to notice its compile failed; non-200 makes
     :class:`~repro.serve.client.ServeClient` raise instead.
@@ -138,11 +140,11 @@ class ReproServer:
                 f"unknown serve backend {self.config.backend!r}; "
                 f"known: {', '.join(BACKENDS)}"
             )
-        # Under the process backend the front service only resolves batch
-        # keys and counts batches; workers keep their own in-memory stores,
-        # so a --store file opened here would never be written.
-        store = None if self.config.backend == "process" else self.config.store
-        self.service = service or CompileService(store=store)
+        #: The thread backend's shared request engine; process workers
+        #: each own one, so the process backend's front has none.
+        self.service = None
+        if self.config.backend == "thread":
+            self.service = service or CompileService(store=self.config.store)
         #: Actual bound port, available once ``started`` is set (lets
         #: tests and the load harness bind port 0 for an ephemeral port).
         self.port: int | None = None
@@ -155,8 +157,6 @@ class ReproServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._queue: asyncio.Queue | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._inflight: set = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -185,8 +185,9 @@ class ReproServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
+        threads = None
         # Fork the process backend's workers first: children must not
-        # inherit a half-started thread pool or in-flight batches.
+        # inherit a half-started thread pool or in-flight requests.
         if self.config.backend == "process":
             if self.config.store is not None:
                 # Concurrent appends from N processes would interleave in
@@ -198,18 +199,20 @@ class ReproServer:
                 )
             self.procpool = ProcessWorkerPool(self.config.workers)
             self.procpool.start()
-        # Backpressure: the batcher only dispatches while a worker slot is
-        # free, so saturation fills the bounded queue (and trips 503s)
-        # instead of growing the executor's unbounded internal queue.
-        self._slots = asyncio.Semaphore(self.config.workers)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="serve-worker"
-        )
+            run = self.procpool.run
+        else:
+            threads = ThreadPoolExecutor(
+                max_workers=self.config.workers, thread_name_prefix="serve-worker"
+            )
+            run = partial(self._loop.run_in_executor, threads, self.service.handle)
         server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = server.sockets[0].getsockname()[1]
-        batcher = asyncio.create_task(self._batch_loop())
+        workers = [
+            asyncio.create_task(self._worker(run))
+            for _ in range(self.config.workers)
+        ]
         self.started.set()
         logger.info(
             "repro serve listening on %s:%d (%s backend)",
@@ -219,21 +222,18 @@ class ReproServer:
             async with server:
                 await self._stop.wait()
         finally:
-            batcher.cancel()
-            try:
-                await batcher
-            except asyncio.CancelledError:
-                pass
             # Fail queued requests cleanly rather than hanging clients:
             # their Shutdown errors ride a 503, never a fake success.
             while not self._queue.empty():
-                pending = self._queue.get_nowait()
-                if not pending.future.done():
-                    pending.future.set_result(
-                        {"status": "error", "error": {"type": "Shutdown",
-                                                      "message": "server shutting down"}}
-                    )
-            self._executor.shutdown(wait=True)
+                future = self._queue.get_nowait().future
+                if not future.done():
+                    future.set_result(_SHUTDOWN)
+            # Idle slots stop at once; running requests finish first.
+            for worker in workers:
+                worker.cancel()
+            await asyncio.gather(*workers, return_exceptions=True)
+            if threads is not None:
+                threads.shutdown(wait=True)
             if self.procpool is not None:
                 self.procpool.shutdown()
             # Let connection handlers flush the drained answers before
@@ -367,16 +367,7 @@ class ReproServer:
                                "message": f"{method} {path} is not an endpoint"}}
 
     def _stats_payload(self) -> dict:
-        if self.procpool is not None:
-            stats = self.procpool.stats()
-            # Batching is front-side accounting in the process backend.
-            stats.update(
-                batches=self.service.batches,
-                batched_requests=self.service.batched_requests,
-                max_batch=self.service.max_batch,
-            )
-        else:
-            stats = self.service.stats()
+        stats = (self.procpool or self.service).stats()
         stats["backend"] = self.config.backend
         stats["workers"] = self.config.workers
         stats["connections"] = self.connections
@@ -393,6 +384,10 @@ class ReproServer:
         except ProtocolError as exc:
             return 400, {"status": "error",
                          "error": {"type": "ProtocolError", "message": str(exc)}}
+        if self._stop.is_set():
+            # A kept-alive connection outlives the listener: no worker
+            # will take this request, so refuse it rather than hang.
+            return 503, _SHUTDOWN
         pending = _Pending(request=request, future=self._loop.create_future())
         try:
             self._queue.put_nowait(pending)
@@ -405,108 +400,37 @@ class ReproServer:
         response = await pending.future
         return _status_for(response), response
 
-    # -- batching back ------------------------------------------------------
+    # -- worker slots -------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        # Requests this coroutine has taken off the queue but not yet
-        # handed to a worker; resolved with Shutdown errors if the loop
-        # is cancelled while holding them (they'd hang clients otherwise).
-        held: list[_Pending] = []
-        try:
-            while True:
-                held = [await self._queue.get()]
-                # Adaptive coalescing: take everything already queued,
-                # but only *wait* for company while every worker is busy
-                # — a solo request on an idle daemon ships immediately
-                # (no window tax), while saturation grows batches free.
-                while len(held) < self.config.max_batch:
-                    try:
-                        held.append(self._queue.get_nowait())
-                        continue
-                    except asyncio.QueueEmpty:
-                        pass
-                    if not self._slots.locked():
-                        break
-                    try:
-                        held.append(
-                            await asyncio.wait_for(
-                                self._queue.get(), self.config.batch_window_s
-                            )
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                groups: dict[str, list[_Pending]] = {}
-                for pending in held:
-                    groups.setdefault(
-                        self._batch_key(pending), []
-                    ).append(pending)
-                for key, group in groups.items():
-                    await self._slots.acquire()
-                    task = self._loop.run_in_executor(
-                        self._executor, self._run_batch, key, group
-                    )
-                    self._inflight.add(task)
-                    task.add_done_callback(self._batch_done)
-                    for pending in group:
-                        held.remove(pending)
-        finally:
-            for pending in held:
-                if not pending.future.done():
-                    pending.future.set_result(
-                        {"status": "error",
-                         "error": {"type": "Shutdown",
-                                   "message": "server shutting down"}}
-                    )
-
-    def _batch_done(self, task) -> None:
-        # Runs on the event loop (run_in_executor future callbacks do).
-        self._inflight.discard(task)
-        self._slots.release()
-
-    def _batch_key(self, pending: _Pending) -> str:
-        # Cheap after the first resolution per device (cached); a bad
-        # device name groups alone and fails inside handle() instead.
-        try:
-            return self.service.batch_key(pending.request)
-        except Exception:
-            return f"!{id(pending)}"
-
-    def _run_batch(self, key: str, group: list[_Pending]) -> None:
-        """Worker/dispatcher-thread body: serve one same-fingerprint group."""
-        started = time.perf_counter()
-        for pending in group:
-            observe("serve.queue_wait", max(0.0, started - pending.enqueued))
-        # Account the batch before resolving futures: a client must not
-        # see its response while /stats still lacks the batch it rode in.
-        self.service.note_batch(len(group))
-        counter("serve.batches")
-        counter("serve.batched_requests", len(group))
-        gauge_max("serve.batch_max", len(group))
-        if self.procpool is not None:
-            # Dispatcher mode: ship the group to a fork-warm worker
-            # process and block on its reply (the GIL is released while
-            # waiting, so N dispatchers drive N cores of real compiles).
-            responses = self.procpool.run_batch(
-                [pending.request for pending in group]
+    async def _worker(self, run) -> None:
+        """One worker slot: serve queued requests one at a time."""
+        while True:
+            pending = await self._queue.get()
+            observe(
+                "serve.queue_wait",
+                max(0.0, time.perf_counter() - pending.enqueued),
             )
-            for pending, response in zip(group, responses):
-                response.setdefault("batch_size", len(group))
-                self._loop.call_soon_threadsafe(
-                    _resolve, pending.future, response
-                )
-            return
-        with span("serve.batch", group=f"x{len(group)}"):
-            for pending in group:
-                response = dict(self.service.handle(pending.request))
-                response.setdefault("batch_size", len(group))
-                self._loop.call_soon_threadsafe(
-                    _resolve, pending.future, response
-                )
+            answer = asyncio.ensure_future(run(pending.request))
+            try:
+                await asyncio.wait([answer])
+            except asyncio.CancelledError:
+                # Shutdown stops an idle slot at once; a running request
+                # still finishes (wait() never cancels it) and answers.
+                await asyncio.wait([answer])
+                raise
+            finally:
+                _settle(pending.future, answer)
 
 
-def _resolve(future: asyncio.Future, response: dict) -> None:
-    if not future.done():
-        future.set_result(response)
+def _settle(future: asyncio.Future, answer: asyncio.Future) -> None:
+    """Hand a finished answer to its client; a raised error becomes a 500."""
+    if future.done():
+        return
+    error = answer.exception()
+    if error is None:
+        future.set_result(answer.result())
+    else:
+        future.set_exception(error)
 
 
 def run_server(config: ServeConfig | None = None) -> None:

@@ -2,8 +2,8 @@
 
 Boots an in-process daemon on an ephemeral port, fires a mixed
 compile workload (device x circuit x seed round-robin) from N client
-threads, and reports client-observed latency percentiles (p50/p90/p99),
-batching behaviour, and cache statistics.
+threads, and reports client-observed latency percentiles (p50/p90/p99)
+and cache statistics.
 
 Two honesty checks ride along:
 
@@ -291,8 +291,7 @@ def render(report: dict) -> str:
     if server:
         plan = server.get("plan_cache", {})
         lines.append(
-            f"batches {server.get('batches', 0)} "
-            f"(max size {server.get('max_batch', 0)}), "
+            f"served {server.get('requests', 0)} requests, "
             f"plan cache {plan.get('hits', 0)} hits / "
             f"{plan.get('misses', 0)} misses"
         )

@@ -13,8 +13,7 @@ Requests are JSON objects with a ``kind`` discriminator:
   store records) and answers with the cell's result record.
 
 Responses always carry ``status`` (``"ok"`` | ``"error"``) plus, on
-success, ``elapsed_s`` (service-side evaluation time) and ``batch_size``
-(how many requests shared the batch that served this one).
+success, ``elapsed_s`` (service-side evaluation time).
 
 HTTP status mirrors the payload (since protocol version 2): ``"ok"``
 rides a 200, handler failures a 500, shutdown-drained requests and queue
@@ -40,7 +39,8 @@ from repro.scheduling.layer import Schedule
 
 #: Protocol version, echoed by /health so clients can detect skew.
 #: v2: error payloads ride non-200 HTTP statuses; keep-alive connections.
-PROTOCOL_VERSION = 2
+#: v3: responses drop ``batch_size``; every request is served alone.
+PROTOCOL_VERSION = 3
 
 REQUEST_KINDS = ("compile", "simulate")
 

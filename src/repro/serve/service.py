@@ -36,7 +36,7 @@ import threading
 import time
 
 from repro.campaigns.fingerprint import library_fingerprint
-from repro.campaigns.runner import cached_topology, supervised_evaluate
+from repro.campaigns.runner import supervised_evaluate
 from repro.campaigns.spec import DEFAULT_POLICY, Cell, RetryPolicy, cell_key
 from repro.campaigns.store import ResultStore, record_status
 from repro.memo import MemoCache
@@ -114,33 +114,6 @@ class CompileService:
         self.requests = 0
         self.errors = 0
         self.store_hits = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch = 0
-
-    # -- batching support ---------------------------------------------------
-
-    def batch_key(self, request) -> str:
-        """The topology fingerprint a request compiles/simulates against.
-
-        Requests sharing a key can share one Algorithm-1 plan, so the
-        daemon coalesces them into one batch.  Cached after the first
-        resolution per device, so this is cheap on the event loop.
-        """
-        if isinstance(request, CompileRequest):
-            topology, _ = self._context(request.device)
-            return topology.fingerprint
-        device = request.cell.device
-        return cached_topology(
-            device.family, device.rows, device.cols
-        ).fingerprint
-
-    def note_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-            if size > self.max_batch:
-                self.max_batch = size
 
     # -- request handlers ---------------------------------------------------
 
@@ -276,9 +249,6 @@ class CompileService:
                 "requests": self.requests,
                 "errors": self.errors,
                 "store_hits": self.store_hits,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "max_batch": self.max_batch,
             }
         stats["plan_cache"] = self.plan_cache.stats
         stats["prop_caches"] = prop

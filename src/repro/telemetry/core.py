@@ -341,8 +341,7 @@ def gauge_max(name: str, value: float) -> None:
     """Raise a named gauge to ``value`` if it is the new maximum.
 
     Safe under concurrency (the compare-and-set happens inside the
-    collector lock) — used for high-water marks like the largest batch a
-    ``repro serve`` run coalesced.
+    collector lock) — for high-water marks.
     """
     if not _enabled:
         return

@@ -162,18 +162,9 @@ class TestCompileService:
         a --store file that nothing writes."""
         path = str(tmp_path / "store.jsonl")
         front = ReproServer(ServeConfig(backend="process", store=path))
-        assert front.service.store.path is None
+        assert front.service is None
         threaded = ReproServer(ServeConfig(backend="thread", store=path))
         assert str(threaded.service.store.path) == path
-
-    def test_batch_key_groups_by_topology(self):
-        service = CompileService()
-        qaoa = service.batch_key(CompileRequest(DEVICE, "qaoa"))
-        qv = service.batch_key(CompileRequest(DEVICE, "qv"))
-        assert qaoa == qv
-        assert service.batch_key(CompileRequest("falcon", "qaoa")) != qaoa
-        sim = service.batch_key(SimulateRequest(SIM_CELL))
-        assert sim == scale_topology("grid:2x3").fingerprint
 
 
 class TestBoundedServeMemos:
@@ -201,7 +192,7 @@ class TestBoundedServeMemos:
         cache = service.scale_contexts
         names = [f"grid:2x{h}" for h in range(2, cache.maxsize + 5)]
         for name in names:
-            service.batch_key(CompileRequest(name, "qaoa"))
+            assert service.handle(CompileRequest(name, "qaoa"))["status"] == "ok"
         assert len(cache) == cache.maxsize
         assert cache.evictions == len(names) - cache.maxsize
         assert service.stats()["scale_context"]["size"] == cache.maxsize
@@ -254,7 +245,7 @@ class TestDaemon:
         _, client = daemon
         health = client.health()
         assert health["status"] == "ok"
-        assert health["version"] == 2
+        assert health["version"] == 3
         assert health["backend"] == "thread"
 
     def test_served_compile_is_bit_identical_to_one_shot(self, daemon):
@@ -262,7 +253,6 @@ class TestDaemon:
         response = client.compile(DEVICE, "qaoa")
         assert response["status"] == "ok"
         assert response["digest"] == one_shot(DEVICE, "qaoa")["digest"]
-        assert response["batch_size"] >= 1
 
     def test_served_simulate_matches_campaign_path(self, daemon):
         _, client = daemon
@@ -296,7 +286,6 @@ class TestDaemon:
         client.compile(DEVICE, "qaoa")
         stats = client.stats()
         assert stats["requests"] >= 1
-        assert stats["batches"] >= 1
         assert set(stats["plan_cache"]) == {
             "hits", "misses", "evictions", "size",
         }
@@ -424,12 +413,6 @@ class _SlowService:
         self.delay_s = delay_s
         self.handled = 0
 
-    def batch_key(self, request) -> str:
-        return "slow"
-
-    def note_batch(self, size: int) -> None:
-        pass
-
     def handle(self, request) -> dict:
         time.sleep(self.delay_s)
         self.handled += 1
@@ -439,11 +422,16 @@ class _SlowService:
         return {"requests": self.handled}
 
 
+class _RaisingService(_SlowService):
+    """Stub service whose handler raises instead of answering."""
+
+    def handle(self, request) -> dict:
+        raise RuntimeError("handler bug")
+
+
 class TestOverload:
     def test_full_queue_answers_503_and_recovers(self):
-        config = ServeConfig(
-            port=0, queue_size=2, workers=1, max_batch=1, batch_window_s=0.0
-        )
+        config = ServeConfig(port=0, queue_size=2, workers=1)
         server = ReproServer(config, service=_SlowService(0.15))
         thread = server.start_background()
         client = ServeClient(port=server.port)
@@ -477,13 +465,32 @@ class TestOverload:
             thread.join(timeout=10.0)
 
 
+class TestHandlerBug:
+    def test_raising_handler_is_500_and_keeps_its_slot(self):
+        """A handler that raises answers 500; its worker slot lives on."""
+        server = ReproServer(
+            ServeConfig(port=0, workers=1), service=_RaisingService(0.0)
+        )
+        thread = server.start_background()
+        client = ServeClient(port=server.port, timeout_s=10.0)
+        try:
+            client.wait_ready()
+            for _ in range(2):
+                with pytest.raises(ServeError) as info:
+                    client.compile("eagle", "qaoa")
+                assert info.value.status == 500
+                assert info.value.payload["error"]["type"] == "InternalError"
+        finally:
+            client.shutdown()
+            client.close()
+            thread.join(timeout=15.0)
+
+
 class TestShutdownDrain:
     def test_queued_requests_fail_with_503_not_fake_200(self):
         """Requests drained at shutdown answer 503/Shutdown — a client
         must never mistake an unserved request for a success."""
-        config = ServeConfig(
-            port=0, workers=1, max_batch=1, batch_window_s=0.0
-        )
+        config = ServeConfig(port=0, workers=1)
         server = ReproServer(config, service=_SlowService(0.4))
         thread = server.start_background()
         outcomes = []
@@ -505,7 +512,7 @@ class TestShutdownDrain:
         pool = [threading.Thread(target=body) for _ in range(4)]
         for t in pool:
             t.start()
-        time.sleep(0.15)  # first batch in flight, rest queued
+        time.sleep(0.15)  # first request in flight, rest queued
         server.request_stop()
         for t in pool:
             t.join(timeout=15.0)
@@ -515,8 +522,28 @@ class TestShutdownDrain:
         assert drained, "no queued request saw the shutdown drain"
         for payload in drained:
             assert payload["error"]["type"] == "Shutdown"
-        # The in-flight batch still completed and answered 200.
+        # The in-flight request still completed and answered 200.
         assert any(s == 200 for s, _ in outcomes)
+
+    def test_request_after_stop_answers_503(self):
+        """A kept-alive connection outlives the listener; a request sent
+        on it after stop must be refused, not left hanging."""
+        server = ReproServer(
+            ServeConfig(port=0, workers=1), service=_SlowService(0.0)
+        )
+        thread = server.start_background()
+        client = ServeClient(port=server.port)
+        try:
+            client.wait_ready()
+            server.request_stop()
+            time.sleep(0.2)  # stop is set; the connection is still open
+            with pytest.raises(ServeError) as info:
+                client.compile("eagle", "qaoa")
+            assert info.value.status == 503
+            assert info.value.payload["error"]["type"] == "Shutdown"
+        finally:
+            client.close()
+            thread.join(timeout=15.0)
 
 
 class TestLoadTest:

@@ -1,16 +1,16 @@
 """Tests for the ``repro serve`` process backend (fork-warm worker pool).
 
-The contract: ``--backend process`` changes *where* batches execute —
+The contract: ``--backend process`` changes *where* requests execute —
 never *what* they answer.  Responses are digest-identical to the thread
 backend and to one-shot compiles, a killed worker is replaced with its
-in-flight batch re-dispatched (zero failed client requests), and /stats
-aggregates across workers.
+in-flight requests re-dispatched (zero failed client requests), and
+/stats aggregates across workers.
 """
 
+import asyncio
 import os
 import signal
 import threading
-import time
 
 import pytest
 
@@ -144,57 +144,73 @@ class TestProcessBackend:
         assert stats["workers"] == 2
         assert stats["worker_processes"] == 2
         assert stats["requests"] >= 1
-        assert stats["batches"] >= 1
         assert set(stats["plan_cache"]) >= {"hits", "misses", "size"}
         assert "respawns" in stats
         assert "queue_depth" in stats
 
 
+    def test_process_backend_runs_no_dispatcher_threads(self, proc_daemon):
+        """Worker slots await the pool on the event loop: concurrent
+        compiles leave no ``serve-worker`` thread behind."""
+        server, _ = proc_daemon
+        statuses = []
+
+        def body(seed):
+            mine = ServeClient(port=server.port)
+            try:
+                statuses.append(mine.compile(DEVICE, "qaoa", seed=seed)["status"])
+            finally:
+                mine.close()
+
+        clients = [threading.Thread(target=body, args=(s,)) for s in range(4)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join()
+        assert statuses == ["ok"] * 4
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith("serve-worker")], names
+
+
+def _slow_request(bench: str) -> SimulateRequest:
+    """A fresh ~1 s density simulation, so a kill lands mid-request."""
+    return SimulateRequest(
+        Cell(bench, 6, "pert+zzx", kind="density", device=SIM_CELL.device,
+             t1_us=100.0, t2_us=100.0)
+    )
+
+
+def _run_and_kill(pool, requests, delay_s: float = 0.3) -> list:
+    """Serve ``requests`` concurrently on ``pool`` and SIGKILL one worker
+    ``delay_s`` in; returns the responses in request order."""
+
+    async def kill():
+        await asyncio.sleep(delay_s)
+        os.kill(pool.pids()[0], signal.SIGKILL)
+
+    async def main():
+        *responses, _ = await asyncio.gather(
+            *(pool.run(request) for request in requests), kill()
+        )
+        return responses
+
+    return asyncio.run(main())
+
+
+def _run(pool, request) -> dict:
+    return asyncio.run(pool.run(request))
+
+
 class TestProcessWorkerPool:
     def test_kill_mid_batch_redispatches_and_answers_ok(self):
-        """A worker SIGKILLed while computing a batch: the replacement
+        """A worker SIGKILLed while computing a request: the replacement
         re-runs it and the caller still gets a success response."""
         pool = ProcessWorkerPool(1)
         pool.start()
-        box = {}
-        # Several distinct cells so the batch computes for long enough
-        # (each ~0.1s; per-worker stores can't shortcut fresh cells) that
-        # the kill below lands mid-batch, not between batches.
-        batch = [
-            SimulateRequest(
-                Cell(bench, size, "pert+zzx", device=SIM_CELL.device)
-            )
-            for bench in ("QAOA", "Ising")
-            for size in (4, 5, 6)
-        ]
         try:
-            runner = threading.Thread(
-                target=lambda: box.update(responses=pool.run_batch(batch))
-            )
-            runner.start()
-            time.sleep(0.2)  # batch dispatched; evaluation takes longer
-            os.kill(pool.pids()[0], signal.SIGKILL)
-            runner.join(timeout=120.0)
-            assert not runner.is_alive()
-            assert [r["status"] for r in box["responses"]] == ["ok"] * len(batch)
+            [response] = _run_and_kill(pool, [_slow_request("QAOA")])
+            assert response["status"] == "ok"
             assert pool.respawns == 1
-        finally:
-            pool.shutdown()
-
-    def test_batch_order_preserved(self):
-        pool = ProcessWorkerPool(1)
-        pool.start()
-        try:
-            requests = [
-                CompileRequest(DEVICE, "qaoa", 0),
-                CompileRequest(DEVICE, "qv", 0),
-                CompileRequest(DEVICE, "qaoa", 1),
-            ]
-            responses = pool.run_batch(requests)
-            assert [r["status"] for r in responses] == ["ok"] * 3
-            assert [(r["circuit"], r["seed"]) for r in responses] == [
-                ("qaoa", 0), ("qv", 0), ("qaoa", 1),
-            ]
         finally:
             pool.shutdown()
 
@@ -202,52 +218,17 @@ class TestProcessWorkerPool:
         assert MAX_POOL_RESPAWNS >= 1
 
 
-def _sim_batch(bench: str) -> list:
-    """Three fresh simulate cells: ~1 s of work, so a kill lands mid-batch."""
-    return [
-        SimulateRequest(Cell(bench, size, "pert+zzx", device=SIM_CELL.device))
-        for size in (4, 5, 6)
-    ]
-
-
-def _run_in_threads(pool, batches: dict):
-    """Start one ``run_batch`` thread per batch; returns a join function
-    that waits for them and gives ``{name: responses}``."""
-    box = {}
-    threads = [
-        threading.Thread(
-            target=lambda name=name, batch=batch: box.update(
-                {name: pool.run_batch(batch)}
-            )
-        )
-        for name, batch in batches.items()
-    ]
-    for thread in threads:
-        thread.start()
-
-    def join():
-        for thread in threads:
-            thread.join(timeout=120.0)
-            assert not thread.is_alive()
-        return box
-
-    return join
-
-
 class TestWholePoolRebuild:
-    """A worker death breaks the whole pool: one rebuild, every batch re-run."""
+    """A worker death breaks the whole pool: one rebuild, every request re-run."""
 
     def test_kill_during_two_batches_rebuilds_once(self):
         pool = ProcessWorkerPool(2)
         pool.start()
         try:
-            batches = {"qaoa": _sim_batch("QAOA"), "ising": _sim_batch("Ising")}
-            join = _run_in_threads(pool, batches)
-            time.sleep(0.3)  # both batches running on the two workers
-            os.kill(pool.pids()[0], signal.SIGKILL)
-            box = join()
-            for name, batch in batches.items():
-                assert [r["status"] for r in box[name]] == ["ok"] * len(batch)
+            responses = _run_and_kill(
+                pool, [_slow_request("QAOA"), _slow_request("Ising")]
+            )
+            assert [r["status"] for r in responses] == ["ok", "ok"]
             assert pool.respawns == 1
             assert len(pool.pids()) == 2
         finally:
@@ -258,20 +239,14 @@ class TestWholePoolRebuild:
         pool = ProcessWorkerPool(1)
         pool.start()
         try:
-            batch = _sim_batch("QAOA")
-            join = _run_in_threads(pool, {"qaoa": batch})
-            time.sleep(0.3)
-            os.kill(pool.pids()[0], signal.SIGKILL)
-            responses = join()["qaoa"]
-            assert len(responses) == len(batch)
-            for response in responses:
-                assert response["status"] == "error"
-                assert response["kind"] == "simulate"
-                assert response["error"]["type"] == "WorkerCrashed"
-            # The broken pool was still rebuilt: later batches are served.
+            [response] = _run_and_kill(pool, [_slow_request("QAOA")])
+            assert response["status"] == "error"
+            assert response["kind"] == "simulate"
+            assert response["error"]["type"] == "WorkerCrashed"
+            # The broken pool was still rebuilt: later requests are served.
             assert pool.respawns == 1
-            again = pool.run_batch([CompileRequest(DEVICE, "qaoa", 0)])
-            assert again[0]["status"] == "ok"
+            again = _run(pool, CompileRequest(DEVICE, "qaoa", 0))
+            assert again["status"] == "ok"
         finally:
             pool.shutdown()
 
@@ -279,13 +254,13 @@ class TestWholePoolRebuild:
         pool = ProcessWorkerPool(1)
         pool.start()
         try:
-            first = [CompileRequest(DEVICE, "qaoa", seed) for seed in range(3)]
-            assert all(r["status"] == "ok" for r in pool.run_batch(first))
+            for seed in range(3):
+                assert _run(pool, CompileRequest(DEVICE, "qaoa", seed))["status"] == "ok"
             before = pool.stats()
             assert before["requests"] == 3
             os.kill(pool.pids()[0], signal.SIGKILL)
-            second = pool.run_batch([CompileRequest(DEVICE, "qv", 0)])
-            assert second[0]["status"] == "ok"
+            second = _run(pool, CompileRequest(DEVICE, "qv", 0))
+            assert second["status"] == "ok"
             after = pool.stats()
             assert pool.respawns == 1
             assert after["requests"] >= before["requests"]
@@ -293,7 +268,6 @@ class TestWholePoolRebuild:
             assert after["scale_circuit"]["misses"] == 4
         finally:
             pool.shutdown()
-
     def test_stats_sums_every_numeric_leaf(self):
         total = {}
         procpool._add_leaves(total, {"a": 1, "nested": {"x": 2}, "path": None})

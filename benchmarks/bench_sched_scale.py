@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.scheduling.plan_cache import NullPlanCache, SuppressionPlanCache
-from repro.scheduling.scalebench import bench_circuit, bench_device, run_point
+from repro.scheduling.scalebench import bench_circuit, run_point, scale_context
 from repro.scheduling.zzxsched import zzx_schedule
 
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
@@ -31,12 +31,10 @@ if FULL:
 
 
 def _compiled(name: str, kind: str):
-    device = bench_device(name)
-    circuit = bench_circuit(device.topology, kind)
-    # One-time per-topology structures are not compile work.
-    device.topology.distance_matrix
-    device.topology.dual_simple
-    return device.topology, circuit
+    # scale_context builds the one-time per-topology structures, which
+    # are not compile work.
+    topology, _ = scale_context(name)
+    return topology, bench_circuit(topology, kind)
 
 
 @pytest.mark.parametrize("name,kind", POINTS, ids=[f"{n}-{k}" for n, k in POINTS])

@@ -311,12 +311,12 @@ def _deadline(seconds: float | None):
     On the main thread this arms SIGALRM (``signal.signal`` raises
     ``ValueError`` anywhere else); pool workers run tasks on their main
     thread, so both campaign dispatch paths use the hard timer.  Off the
-    main thread — ``repro serve`` evaluates cells on executor threads —
-    a :class:`threading.Timer` injects :class:`_CellTimeout` into the
-    evaluating thread instead.  That fallback is *soft*: the exception
-    lands at the next bytecode boundary, so a single long-blocking C
-    call can overrun its budget (a chunked sleep or python-level loop
-    cannot).  On platforms without SIGALRM the soft timer is also used.
+    main thread (a caller evaluating cells on its own threads; ``repro
+    serve`` arms no timeout) a :class:`threading.Timer` injects
+    :class:`_CellTimeout` into the evaluating thread instead.  That
+    fallback is *soft*: the exception lands at the next bytecode
+    boundary, so a single long-blocking C call can overrun its budget (a
+    chunked sleep or python-level loop cannot).  On platforms without SIGALRM the soft timer is also used.
     """
     if seconds is None:
         yield
@@ -454,9 +454,10 @@ def _supervise(
     )
 
 
-def _persist(
+def persist(
     store: ResultStore, cell: Cell, outcome: CellOutcome, fingerprint: str
 ) -> None:
+    """Record one cell's outcome (campaign runs and serve simulate requests)."""
     store.put(
         cell,
         outcome.result,
@@ -659,9 +660,6 @@ class CampaignResult:
         """The result payload for ``cell`` (KeyError when not part of the run)."""
         return self._by_key[cell_key(cell, self.fingerprint)]["result"]
 
-    def record_for(self, cell: Cell) -> dict:
-        return self._by_key[cell_key(cell, self.fingerprint)]
-
     def failures(self) -> list[dict]:
         """The failure records of this run (empty when everything passed)."""
         return [r for r in self.records if record_status(r) != "ok"]
@@ -800,7 +798,7 @@ def _run_serial(
         outcome = supervised_evaluate(cell, policy)
         # Persist before the abort check: an aborting campaign keeps the
         # failure record that pushed it over the threshold.
-        _persist(store, cell, outcome, fingerprint)
+        persist(store, cell, outcome, fingerprint)
         tracker.note(outcome)
 
 
@@ -871,7 +869,7 @@ def _run_parallel(
                             - outcome.elapsed_s,
                         ),
                     )
-                    _persist(store, cell, outcome, fingerprint)
+                    persist(store, cell, outcome, fingerprint)
                     tracker.note(outcome)
                     del todo[cell]
                 if broken:

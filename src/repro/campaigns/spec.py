@@ -291,9 +291,6 @@ class Cell:
     def scheduler(self) -> str:
         return CONFIGS[self.config][1]
 
-    def with_config(self, config: str) -> "Cell":
-        return replace(self, config=config)
-
     def payload(self) -> dict:
         """Canonical JSON-able form — the content that is hashed and stored."""
         data = {

@@ -32,9 +32,8 @@ from repro.graphs.suppression import (
 from repro.memo import MemoCache
 from repro.telemetry import counter
 
-#: Bound of the long-lived plan caches (the process-wide one and each
-#: serve daemon's).  The largest single compile measured, osprey/qv,
-#: needs 3040 plans.
+#: Bound of the long-lived process-wide plan cache.  The largest single
+#: compile measured, osprey/qv, needs 3040 plans.
 PLAN_CACHE_SIZE = 4096
 
 
@@ -85,6 +84,6 @@ class NullPlanCache(SuppressionPlanCache):
         )
 
 
-#: Process-wide cache shared by campaign cells and serve worker
-#: processes; safe because plans are pure functions of the key.
+#: Process-wide cache shared by campaign cells and every serve request;
+#: safe because plans are pure functions of the key.
 SHARED_PLAN_CACHE = SuppressionPlanCache(PLAN_CACHE_SIZE)

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 from repro.circuits.compile import compile_circuit
-from repro.device.device import Device, make_device
 from repro.device.topology import Topology
 from repro.experiments.result import ExperimentResult
 from repro.scheduling.layer import Schedule
@@ -90,10 +89,20 @@ def bench_circuit(topology: Topology, kind: str, seed: int = 0):
     return compile_circuit(logical, topology, layout="trivial").circuit
 
 
-def bench_device(name: str) -> Device:
+def scale_context(name: str) -> tuple[Topology, SuppressionRequirement]:
+    """(topology, requirement) for a scale-device name, topology warmed.
+
+    The one resolver behind every scale compile (``sched-bench``, serve
+    compile requests, the load harness's one-shot baseline, the goldens).
+    The topology's one-time structures (distance matrix, planar dual) are
+    built here, so no timed compile pays for them.
+    """
     from repro.verify.generators import scale_topology
 
-    return make_device(scale_topology(name), seed=7)
+    topology = scale_topology(name)
+    topology.distance_matrix
+    topology.dual_simple
+    return topology, SuppressionRequirement.from_topology(topology)
 
 
 def run_point(
@@ -106,16 +115,8 @@ def run_point(
     config: ZZXConfig | None = None,
 ) -> BenchPoint:
     """Schedule one (device, circuit) point, cached and optionally uncached."""
-    device = bench_device(name)
-    topology = device.topology
+    topology, requirement = scale_context(name)
     circuit = bench_circuit(topology, kind, seed=seed)
-    requirement = SuppressionRequirement.from_topology(topology)
-
-    # Warm the topology's cached structures (distance matrix, dual
-    # projection) outside the timed region: they are one-time costs shared
-    # by every schedule on the device, not per-compile work.
-    topology.distance_matrix
-    topology.dual_simple
 
     cache = SuppressionPlanCache()
     start = time.perf_counter()

@@ -29,7 +29,9 @@ Architecture (one front, one request per worker slot, two executors):
 Failures are *visible*: a handler error payload rides a non-200 status
 (500, or 503 for requests drained or refused at shutdown), and malformed
 HTTP input is answered with a diagnosable ``400``/``413`` before the
-connection closes — never a silent reset.
+connection closes — never a silent reset.  At stop, answers still owed
+are written with ``Connection: close``, and a kept-alive connection idle
+for :data:`STOP_GRACE_S` is closed, so shutdown never waits on a client.
 
 Queue wait (enqueue → worker start) is observed as ``serve.queue_wait``
 so ``repro stats`` shows where latency goes under load.
@@ -70,6 +72,10 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: The serve worker backends (``ServeConfig.backend``).
 BACKENDS = ("thread", "process")
+
+#: How long a kept-alive connection idle at stop may still send one
+#: request (answered 503 ``Shutdown``) before the daemon closes it.
+STOP_GRACE_S = 0.5
 
 
 class _BadRequest(Exception):
@@ -154,6 +160,9 @@ class ReproServer:
         #: Connections accepted since start (keep-alive reuse shows up
         #: as requests outnumbering connections in /stats).
         self.connections = 0
+        #: Writers of connections waiting for their next request line;
+        #: None once stop has closed them.
+        self._idle: set | None = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._queue: asyncio.Queue | None = None
@@ -222,6 +231,7 @@ class ReproServer:
             async with server:
                 await self._stop.wait()
         finally:
+            self._loop.call_later(STOP_GRACE_S, self._close_idle)
             # Fail queued requests cleanly rather than hanging clients:
             # their Shutdown errors ride a 503, never a fake success.
             while not self._queue.empty():
@@ -237,7 +247,8 @@ class ReproServer:
             if self.procpool is not None:
                 self.procpool.shutdown()
             # Let connection handlers flush the drained answers before
-            # asyncio.run cancels them with responses still unwritten.
+            # asyncio.run cancels them with responses still unwritten;
+            # idle kept-alive handlers end when _close_idle closes them.
             others = [
                 task
                 for task in asyncio.all_tasks()
@@ -245,6 +256,12 @@ class ReproServer:
             ]
             if others:
                 await asyncio.wait(others, timeout=5.0)
+
+    def _close_idle(self) -> None:
+        """Close every connection still waiting for its next request."""
+        idle, self._idle = self._idle, None
+        for writer in idle:
+            writer.close()
 
     # -- HTTP front ---------------------------------------------------------
 
@@ -254,7 +271,7 @@ class ReproServer:
         try:
             while True:
                 try:
-                    parsed = await self._read_request(reader)
+                    parsed = await self._read_request(reader, writer)
                 except _BadRequest as exc:
                     # A diagnosable answer beats a bare connection reset.
                     await self._write_response(
@@ -278,6 +295,8 @@ class ReproServer:
                     status, payload = 500, {"status": "error",
                                             "error": {"type": "InternalError",
                                                       "message": "internal server error"}}
+                # A stopping daemon keeps no connection alive.
+                keep_alive = keep_alive and not self._stop.is_set()
                 wrote = await self._write_response(
                     writer, status, payload, close=not keep_alive
                 )
@@ -289,10 +308,22 @@ class ReproServer:
             except ConnectionError:  # pragma: no cover - already gone
                 pass
 
-    @staticmethod
-    async def _read_request(reader) -> tuple[str, str, bytes, bool] | None:
-        """Parse one request; None on clean EOF, :class:`_BadRequest` on junk."""
-        raw_line = await reader.readline()
+    async def _read_request(
+        self, reader, writer
+    ) -> tuple[str, str, bytes, bool] | None:
+        """Parse one request; None on clean EOF, :class:`_BadRequest` on junk.
+
+        While it waits for the request line the connection is idle: stop
+        may close it, which reads as a clean EOF here.
+        """
+        if self._idle is None:
+            return None
+        self._idle.add(writer)
+        try:
+            raw_line = await reader.readline()
+        finally:
+            if self._idle is not None:
+                self._idle.discard(writer)
         if not raw_line:
             return None
         request_line = raw_line.decode("latin-1").strip()

@@ -67,15 +67,12 @@ def one_shot(device: str, circuit: str, seed: int = 0) -> dict:
     topology build are part of the measured cost).
     """
     from repro.scheduling.plan_cache import SuppressionPlanCache
-    from repro.scheduling.requirement import SuppressionRequirement
-    from repro.scheduling.scalebench import bench_circuit
+    from repro.scheduling.scalebench import bench_circuit, scale_context
     from repro.scheduling.zzxsched import zzx_schedule
     from repro.serve.protocol import schedule_digest
-    from repro.verify.generators import scale_topology
 
-    topology = scale_topology(device)
+    topology, requirement = scale_context(device)
     compiled = bench_circuit(topology, circuit, seed=seed)
-    requirement = SuppressionRequirement.from_topology(topology)
     t0 = time.perf_counter()
     schedule = zzx_schedule(
         compiled, topology, requirement, None, SuppressionPlanCache()

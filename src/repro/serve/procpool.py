@@ -8,8 +8,8 @@ submits one request to the campaign runner's
 :func:`~repro.campaigns.runner.warm_pool`, so N requests compile in
 parallel on the pool, warm start and respawn policy that campaign
 sweeps use.  Each worker serves requests through one
-:class:`~repro.serve.service.CompileService` whose plan cache is the
-fork-inherited ``SHARED_PLAN_CACHE``.
+:class:`~repro.serve.service.CompileService`, which schedules through
+the fork-inherited ``SHARED_PLAN_CACHE``.
 
 A worker that dies (OOM, segfault, ``kill -9``) breaks the *whole* pool:
 every request in flight fails with ``BrokenProcessPool``.  The first
@@ -32,7 +32,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.campaigns.runner import MAX_POOL_RESPAWNS, warm_pool
 from repro.pulses.library import METHODS
-from repro.scheduling.plan_cache import SHARED_PLAN_CACHE
 from repro.serve.service import CompileService
 from repro.telemetry import capture, counter, merge_snapshot
 
@@ -48,7 +47,7 @@ def _serve(request) -> dict:
     """
     global _SERVICE
     if _SERVICE is None:
-        _SERVICE = CompileService(plan_cache=SHARED_PLAN_CACHE)
+        _SERVICE = CompileService()
     with capture() as cap:
         response = None if request is None else dict(_SERVICE.handle(request))
     return {

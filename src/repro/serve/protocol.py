@@ -110,33 +110,6 @@ def parse_request(data) -> CompileRequest | SimulateRequest:
     return SimulateRequest(cell=cell)
 
 
-def _gate_tuple(gate) -> list:
-    """JSON-able mirror of the verify oracles' gate identity tuple."""
-    return [gate.name, list(gate.qubits), list(gate.params)]
-
-
-def schedule_signature(schedule: Schedule) -> dict:
-    """Canonical JSON-able structure of a schedule, layer by layer.
-
-    Covers exactly what :func:`repro.verify.oracles.diff_schedules`
-    compares: per-layer gates/identities/virtual plus the trailing
-    virtual gates — equal signatures iff the oracle diff is empty.
-    """
-    return {
-        "layers": [
-            {
-                "gates": [_gate_tuple(g) for g in layer.gates],
-                "identities": [_gate_tuple(g) for g in layer.identities],
-                "virtual": [_gate_tuple(g) for g in layer.virtual],
-            }
-            for layer in schedule.layers
-        ],
-        "trailing_virtual": [
-            _gate_tuple(g) for g in schedule.trailing_virtual
-        ],
-    }
-
-
 #: Digest bytes of each interned identity gate, keyed by ``id(gate)``.
 #: Only gates held by :data:`~repro.circuits.gates.IDENTITY_GATES` are
 #: stored; that table keeps them alive, so no other gate can share an id.
@@ -159,8 +132,9 @@ def _identity_bytes(gate) -> bytes:
 
 
 def schedule_digest(schedule: Schedule) -> str:
-    """Content hash over :func:`schedule_signature`'s content (serve's
-    equivalence pin).
+    """Content hash over what :func:`repro.verify.oracles.diff_schedules`
+    compares — per-layer gates/identities/virtual plus the trailing
+    virtual gates — and serve's equivalence pin.
 
     Streamed straight into the hash rather than through ``json.dumps`` —
     on an Eagle-scale schedule the dump costs as much as the warm compile

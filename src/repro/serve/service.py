@@ -3,12 +3,13 @@
 One :class:`CompileService` owns every amortizable artifact of the
 compile/simulate path and keeps it hot across requests:
 
-- a bounded, thread-safe
-  :class:`~repro.scheduling.plan_cache.SuppressionPlanCache` — one
-  Algorithm-1 plan serves every circuit that asks for the same
-  ``(topology, Q, alpha, top_k)`` problem;
+- the process's bounded, thread-safe
+  :data:`~repro.scheduling.plan_cache.SHARED_PLAN_CACHE` — one
+  Algorithm-1 plan serves every compile *and* simulate request that
+  asks for the same ``(topology, Q, alpha, top_k)`` problem;
 - bounded memos, one pair per service, of the scale-device contexts
-  and benchmark circuits that compile requests name
+  (:func:`~repro.scheduling.scalebench.scale_context`) and benchmark
+  circuits that compile requests name
   (``serve.scale_context``/``scale_circuit``);
 - the pulse-library cache (via the campaign runner's per-process
   ``cached_library``, which itself sits on the warm pulse-cache file);
@@ -36,14 +37,13 @@ import threading
 import time
 
 from repro.campaigns.fingerprint import library_fingerprint
-from repro.campaigns.runner import supervised_evaluate
-from repro.campaigns.spec import DEFAULT_POLICY, Cell, RetryPolicy, cell_key
+from repro.campaigns.runner import persist, supervised_evaluate
+from repro.campaigns.spec import DEFAULT_POLICY, Cell, cell_key
 from repro.campaigns.store import ResultStore, record_status
 from repro.memo import MemoCache
 from repro.runtime.backends import LayerPropagatorCache
-from repro.scheduling.plan_cache import PLAN_CACHE_SIZE, SuppressionPlanCache
-from repro.scheduling.requirement import SuppressionRequirement
-from repro.scheduling.scalebench import bench_circuit
+from repro.scheduling.plan_cache import SHARED_PLAN_CACHE
+from repro.scheduling.scalebench import bench_circuit, scale_context
 from repro.scheduling.zzxsched import zzx_schedule
 from repro.serve.protocol import (
     CompileRequest,
@@ -51,7 +51,6 @@ from repro.serve.protocol import (
     schedule_digest,
 )
 from repro.telemetry import counter, span
-from repro.verify.generators import scale_topology
 
 #: Bound per layer-propagator cache (entries per map, FIFO).
 PROP_CACHE_SIZE = 512
@@ -70,36 +69,13 @@ PROP_DOMAINS = 4
 SCALE_CACHE_SIZE = 16
 
 
-def _scale_context(device: str):
-    """(topology, requirement) for a scale-device name.
-
-    Also pre-warms the topology's one-time structures (distance matrix,
-    planar dual) so the first compile request doesn't pay for them — the
-    same split ``sched-bench`` uses, keeping serve latencies comparable.
-    """
-    topology = scale_topology(device)
-    requirement = SuppressionRequirement.from_topology(topology)
-    topology.distance_matrix
-    topology.dual_simple
-    return topology, requirement
-
-
 class CompileService:
     """Thread-safe request engine behind the ``repro serve`` daemon."""
 
-    def __init__(
-        self,
-        *,
-        store: ResultStore | str | None = None,
-        policy: RetryPolicy | None = None,
-        plan_cache: SuppressionPlanCache | None = None,
-    ):
-        # ``plan_cache`` lets a serve worker process adopt the
-        # fork-inherited SHARED_PLAN_CACHE (same bound) instead of
-        # starting cold.
-        if plan_cache is None:
-            plan_cache = SuppressionPlanCache(PLAN_CACHE_SIZE)
-        self.plan_cache = plan_cache
+    def __init__(self, store: ResultStore | str | None = None):
+        # The process-wide cache simulate requests already schedule
+        # through; a process worker inherits it warm from the fork.
+        self.plan_cache = SHARED_PLAN_CACHE
         self._prop_caches = MemoCache("serve.prop_domain", PROP_DOMAINS)
         self.scale_contexts = MemoCache("serve.scale_context", SCALE_CACHE_SIZE)
         self.scale_circuits = MemoCache("serve.scale_circuit", SCALE_CACHE_SIZE)
@@ -108,7 +84,6 @@ class CompileService:
         if store is None or isinstance(store, str):
             store = ResultStore(store)
         self.store = store
-        self.policy = policy if policy is not None else DEFAULT_POLICY
         self._fingerprint = library_fingerprint()
         self._lock = threading.Lock()
         self.requests = 0
@@ -146,7 +121,7 @@ class CompileService:
         return response
 
     def _context(self, device: str):
-        return self.scale_contexts.get(device, lambda: _scale_context(device))
+        return self.scale_contexts.get(device, lambda: scale_context(device))
 
     def _handle_compile(self, request: CompileRequest) -> dict:
         topology, requirement = self._context(request.device)
@@ -206,19 +181,10 @@ class CompileService:
                 "cached": True,
             }
         outcome = supervised_evaluate(
-            cell, self.policy, prop_cache=self._prop_cache_for(cell)
+            cell, DEFAULT_POLICY, prop_cache=self._prop_cache_for(cell)
         )
         with self._lock:
-            self.store.put(
-                cell,
-                outcome.result,
-                fingerprint=self._fingerprint,
-                elapsed_s=outcome.elapsed_s,
-                status=outcome.status,
-                error=outcome.error,
-                attempts=outcome.attempts,
-                telemetry=outcome.telemetry,
-            )
+            persist(self.store, cell, outcome, self._fingerprint)
         if not outcome.ok:
             return {
                 "status": "error",

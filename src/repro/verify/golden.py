@@ -119,14 +119,14 @@ def _sched_scale_values() -> dict[str, float]:
     Layer/identity counts of the device-native QAOA and QV workloads; the
     plan-cache and vectorized-distance fast paths must never move them.
     """
-    from repro.scheduling.scalebench import bench_circuit, bench_device
+    from repro.scheduling.scalebench import bench_circuit, scale_context
     from repro.scheduling.zzxsched import zzx_schedule
 
     values: dict[str, float] = {}
     for device_name, kind in (("eagle", "qaoa"), ("eagle", "qv")):
-        device = bench_device(device_name)
-        circuit = bench_circuit(device.topology, kind)
-        schedule = zzx_schedule(circuit, device.topology)
+        topology, requirement = scale_context(device_name)
+        circuit = bench_circuit(topology, kind)
+        schedule = zzx_schedule(circuit, topology, requirement)
         prefix = f"{device_name}/{kind}"
         values[f"{prefix}/gates"] = len(circuit.gates)
         values[f"{prefix}/layers"] = schedule.num_layers

@@ -26,7 +26,7 @@ from repro.scheduling.plan_cache import (
     SuppressionPlanCache,
 )
 from repro.scheduling.requirement import SuppressionRequirement
-from repro.scheduling.scalebench import bench_circuit, bench_device, run_point
+from repro.scheduling.scalebench import bench_circuit, run_point, scale_context
 from repro.scheduling.zzxsched import zzx_schedule
 from repro.verify.generators import device_qaoa, device_qv, scale_topology
 from repro.verify.oracles import (
@@ -71,6 +71,16 @@ class TestHeavyHex:
         for bad in ("nope", "heavyhex:x", "grid:4", "grid:4xB"):
             with pytest.raises(ValueError):
                 scale_topology(bad)
+
+    def test_scale_context_warms_the_topology(self):
+        topology, requirement = scale_context("falcon")
+        assert topology.num_qubits == 23
+        assert requirement == SuppressionRequirement.from_topology(topology)
+        # The one-time structures are built before any timed compile.
+        assert "distance_matrix" in vars(topology)
+        assert "dual_simple" in vars(topology)
+        with pytest.raises(ValueError):
+            scale_context("nope")
 
 
 class TestScaleCircuits:
@@ -329,12 +339,9 @@ class TestScaleSmoke:
 
     @pytest.mark.parametrize("kind", ["qaoa", "qv"])
     def test_eagle_within_budget_and_legal(self, kind):
-        device = bench_device("eagle")
-        topology = device.topology
+        # scale_context builds the one-time structures outside the budget.
+        topology, requirement = scale_context("eagle")
         circuit = bench_circuit(topology, kind)
-        requirement = SuppressionRequirement.from_topology(topology)
-        topology.distance_matrix  # one-time structure, outside the budget
-        topology.dual_simple
         start = time.perf_counter()
         schedule = zzx_schedule(circuit, topology, requirement)
         elapsed = time.perf_counter() - start

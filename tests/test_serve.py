@@ -16,9 +16,9 @@ import pytest
 from repro import telemetry
 from repro.campaigns.runner import supervised_evaluate
 from repro.campaigns.spec import Cell, DeviceSpec
-from repro.scheduling.plan_cache import SuppressionPlanCache
+from repro.scheduling.plan_cache import SHARED_PLAN_CACHE, SuppressionPlanCache
 from repro.scheduling.requirement import SuppressionRequirement
-from repro.scheduling.scalebench import bench_circuit
+from repro.scheduling.scalebench import bench_circuit, run_point
 from repro.scheduling.zzxsched import zzx_schedule
 from repro.serve import (
     CompileRequest,
@@ -124,9 +124,13 @@ class TestCompileService:
         direct = one_shot(DEVICE, "qaoa")
         assert response["digest"] == direct["digest"]
         assert response["digest"] == schedule_digest(_schedule())
+        bench = run_point(DEVICE, "qaoa", compare_uncached=False)
+        assert response["digest"] == schedule_digest(bench.schedule)
 
     def test_repeat_compiles_hit_the_plan_cache(self):
         service = CompileService()
+        # One plan cache per process: compile shares simulate's.
+        assert service.plan_cache is SHARED_PLAN_CACHE
         first = service.handle(CompileRequest(DEVICE, "qaoa"))
         misses = service.plan_cache.misses
         again = service.handle(CompileRequest(DEVICE, "qaoa"))
@@ -544,6 +548,27 @@ class TestShutdownDrain:
         finally:
             client.close()
             thread.join(timeout=15.0)
+
+    def test_idle_connection_does_not_delay_shutdown(self, capfd, caplog):
+        """A kept-alive connection idle at stop is closed, not waited on
+        for seconds and then cancelled with a traceback."""
+        server = ReproServer(
+            ServeConfig(port=0, workers=1), service=_SlowService(0.0)
+        )
+        thread = server.start_background()
+        idle = ServeClient(port=server.port)
+        try:
+            idle.wait_ready()  # leaves one kept-alive connection idle
+            start = time.perf_counter()
+            ServeClient(port=server.port).shutdown()
+            thread.join(timeout=15.0)
+            elapsed = time.perf_counter() - start
+        finally:
+            idle.close()
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+        logged = capfd.readouterr().err + caplog.text
+        assert "Exception in callback" not in logged
 
 
 class TestLoadTest:

@@ -15,26 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.qmath.fidelity import state_fidelity_dm
-from repro.sim.density import DecoherenceModel
-from repro.sim.statevector import apply_gate_matrix
+from repro.sim.density import DecoherenceModel, conjugate_local
 
 from repro.runtime.backends.base import BackendOutcome, SimBackend
 
 #: ``4^n`` scaling caps exact density-matrix execution well below the
 #: statevector limit; the paper's decoherence study (Fig. 23) uses 6 qubits.
 MAX_DENSITY_QUBITS = 8
-
-
-def conjugate_local(
-    rho: np.ndarray, op: np.ndarray, qubits, num_qubits: int
-) -> np.ndarray:
-    """``O rho O^dag`` for a local operator via two column-applications.
-
-    ``A = O rho``, then ``O A^dag`` equals ``(O rho O^dag)^dag``.
-    """
-    left = apply_gate_matrix(rho, op, qubits, num_qubits)
-    right = apply_gate_matrix(left.conj().T, op, qubits, num_qubits)
-    return right.conj().T
 
 
 class DensityBackend(SimBackend):

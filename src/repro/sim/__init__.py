@@ -5,8 +5,9 @@ the original).  This subpackage provides the equivalent machinery:
 
 - :mod:`repro.sim.propagate` — exact piecewise-constant propagation for the
   small (2-16 dimensional) systems used during pulse optimization.
-- :mod:`repro.sim.statevector` — cache-friendly local-operator application on
-  statevectors.
+- :mod:`repro.sim.statevector` — :func:`apply_gate`, the one local-operator
+  kernel, for statevectors or ``(2^n, m)`` column blocks, with cached
+  per-target transpose layouts.
 - :mod:`repro.sim.trotter` — a Strang-split Trotter engine that evolves a
   full device (drives + always-on ZZ) layer by layer.
 - :mod:`repro.sim.density` — density-matrix evolution with T1/T2 channels.
@@ -21,7 +22,7 @@ the original).  This subpackage provides the equivalent machinery:
 DEFAULT_DT = 0.25
 
 from repro.sim.propagate import propagate_piecewise, propagate_with_zz
-from repro.sim.statevector import apply_diagonal_phase, apply_gate
+from repro.sim.statevector import apply_gate
 from repro.sim.trotter import TrotterEngine
 from repro.sim.density import (
     amplitude_damping_kraus,
@@ -36,7 +37,6 @@ __all__ = [
     "DEFAULT_DT",
     "propagate_piecewise",
     "propagate_with_zz",
-    "apply_diagonal_phase",
     "apply_gate",
     "TrotterEngine",
     "amplitude_damping_kraus",

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.sim.statevector import apply_gate_matrix
+from repro.sim.statevector import apply_gate
 
 
 def amplitude_damping_kraus(p: float) -> list[np.ndarray]:
@@ -37,6 +37,18 @@ def phase_damping_kraus(p: float) -> list[np.ndarray]:
     return [k0, k1, k2]
 
 
+def conjugate_local(
+    rho: np.ndarray, op: np.ndarray, qubits: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """``O rho O^dag`` for a local operator via two column-applications.
+
+    ``A = O rho``, then ``O A^dag`` equals ``(O rho O^dag)^dag``.
+    """
+    left = apply_gate(rho, op, qubits, num_qubits)
+    right = apply_gate(left.conj().T, op, qubits, num_qubits)
+    return right.conj().T
+
+
 def apply_channel(
     rho: np.ndarray,
     kraus: Sequence[np.ndarray],
@@ -46,11 +58,7 @@ def apply_channel(
     """Apply a Kraus channel on ``qubits`` to density matrix ``rho``."""
     out = np.zeros_like(rho)
     for k in kraus:
-        # K rho K^dag via two column-applications: A = K rho, then
-        # K A^dag = (K rho K^dag)^dag.
-        left = apply_gate_matrix(rho, k, qubits, num_qubits)
-        right = apply_gate_matrix(left.conj().T, k, qubits, num_qubits)
-        out += right.conj().T
+        out += conjugate_local(rho, k, qubits, num_qubits)
     return out
 
 

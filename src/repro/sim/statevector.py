@@ -1,74 +1,77 @@
-"""Local-operator application on statevectors (and batched columns).
+"""The local-operator kernel: one operator on a few qubits of a register.
 
 Qubit 0 is the most significant bit of the basis index (big-endian), matching
-:mod:`repro.qmath`.  These kernels are the hot path of the Trotter engine:
-they avoid building full ``2^n x 2^n`` matrices by reshaping the state.
+:mod:`repro.qmath`.  :func:`apply_gate` is the only such kernel and the hot
+path of the Trotter engine.  It acts on a statevector ``(2^n,)`` or on a
+column block ``(2^n, m)`` (layer unitaries, density matrices) without ever
+building a ``2^n x 2^n`` matrix: the register is viewed as a ``(2,)*n``
+tensor, the targets are transposed to the front, the operator multiplies a
+``(2^k, -1)`` matrix, and the inverse transpose restores the qubit order.
+The transposes for each ``(qubits, num_qubits)`` come from a bounded layout
+cache, so a call does no axis bookkeeping of its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+#: Distinct ``(qubits, num_qubits)`` layouts kept.  A device of n qubits
+#: driven by 1- and 2-qubit gates has at most n + n(n-1) of them.
+LAYOUT_CACHE_SIZE = 1024
+
+
+class Layout(NamedTuple):
+    """How :func:`apply_gate` views a register for one target tuple."""
+
+    #: ``(2,) * num_qubits``: the register as a tensor, one axis per qubit.
+    shape: tuple[int, ...]
+    #: Transpose putting the targets first, then the other qubits in order.
+    forward: tuple[int, ...]
+    #: Transpose undoing ``forward``.
+    inverse: tuple[int, ...]
+    #: ``2 ** len(qubits)``: the operator's dimension.
+    dim: int
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def layout(qubits: tuple[int, ...], num_qubits: int) -> Layout:
+    """The cached :class:`Layout` of ``qubits`` in a ``num_qubits`` register.
+
+    Raises ``ValueError`` for repeated, negative or out-of-range qubits.
+    """
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate target qubits: {qubits}")
+    if any(q < 0 or q >= num_qubits for q in qubits):
+        raise ValueError(f"target qubits {qubits} out of range for n={num_qubits}")
+    forward = qubits + tuple(q for q in range(num_qubits) if q not in qubits)
+    inverse = [0] * num_qubits
+    for position, axis in enumerate(forward):
+        inverse[axis] = position
+    return Layout((2,) * num_qubits, forward, tuple(inverse), 2 ** len(qubits))
 
 
 def apply_gate(
     state: np.ndarray, op: np.ndarray, qubits: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Apply a ``2^k x 2^k`` operator on ``qubits`` to ``state`` (1-D).
+    """Apply a ``2^k x 2^k`` operator on ``qubits`` to ``state``.
 
-    Returns a new array; does not modify ``state`` in place.
+    ``state`` is a statevector ``(2^n,)`` or a column block ``(2^n, m)``,
+    each column evolved independently.  The i-th tensor factor of ``op``
+    acts on ``qubits[i]``.  Returns a new array of ``state``'s shape; does
+    not modify ``state``.
     """
-    k = len(qubits)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    psi = state.reshape((2,) * num_qubits)
-    axes = list(qubits)
-    # Move target axes to the front, contract, and move them back.
-    psi = np.moveaxis(psi, axes, range(k))
-    shape = psi.shape
-    psi = op @ psi.reshape(2**k, -1)
-    psi = psi.reshape(shape)
-    psi = np.moveaxis(psi, range(k), axes)
-    return psi.reshape(-1)
-
-
-def apply_1q_inplace(
-    state: np.ndarray, op: np.ndarray, qubit: int, num_qubits: int
-) -> np.ndarray:
-    """Fast single-qubit apply; may reuse buffers.  Returns the new state."""
-    left = 2**qubit
-    right = 2 ** (num_qubits - qubit - 1)
-    psi = state.reshape(left, 2, right)
-    a = psi[:, 0, :]
-    b = psi[:, 1, :]
-    new_a = op[0, 0] * a + op[0, 1] * b
-    new_b = op[1, 0] * a + op[1, 1] * b
-    psi[:, 0, :] = new_a
-    psi[:, 1, :] = new_b
-    return state
-
-
-def apply_diagonal_phase(state: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Multiply elementwise by precomputed phases (in place), return state."""
-    state *= phases
-    return state
-
-
-def apply_gate_matrix(
-    matrix: np.ndarray, op: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Apply a local operator to every column of ``matrix`` (dim x m).
-
-    Used to build full layer unitaries for density-matrix simulation by
-    evolving the identity matrix column by column.
-    """
-    dim, m = matrix.shape
-    k = len(qubits)
-    tensor = matrix.reshape((2,) * num_qubits + (m,))
-    tensor = np.moveaxis(tensor, list(qubits), range(k))
-    shape = tensor.shape
-    tensor = op @ tensor.reshape(2**k, -1)
-    tensor = tensor.reshape(shape)
-    tensor = np.moveaxis(tensor, range(k), list(qubits))
-    return tensor.reshape(dim, m)
+    shape, forward, inverse, dim = layout(tuple(qubits), num_qubits)
+    if op.shape != (dim, dim):
+        raise ValueError(f"operator shape {op.shape} does not match {len(qubits)} qubits")
+    if state.ndim == 2:
+        # The column axis stays last, after every qubit axis.
+        shape += state.shape[1:]
+        forward += (num_qubits,)
+        inverse += (num_qubits,)
+    moved = state.reshape(shape).transpose(forward)
+    out = op @ moved.reshape(dim, -1)
+    return out.reshape(shape).transpose(inverse).reshape(state.shape)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.qmath.tensor import zz_diagonal
 from repro.sim import DEFAULT_DT
-from repro.sim.statevector import apply_gate, apply_gate_matrix
+from repro.sim.statevector import apply_gate
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class TrotterEngine:
         for k in range(n_steps):
             for drive in drives:
                 if k < len(drive.step_ops):
-                    mat = apply_gate_matrix(
+                    mat = apply_gate(
                         mat, drive.step_ops[k], drive.qubits, self.num_qubits
                     )
             phase = self._phase_full if k < n_steps - 1 else self._phase_half

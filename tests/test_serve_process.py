@@ -173,7 +173,8 @@ class TestProcessBackend:
 
 
 def _slow_request(bench: str) -> SimulateRequest:
-    """A fresh ~1 s density simulation, so a kill lands mid-request."""
+    """A fresh density simulation of about 0.5-1 s (QV, QPE), so a kill
+    0.3 s in lands mid-request."""
     return SimulateRequest(
         Cell(bench, 6, "pert+zzx", kind="density", device=SIM_CELL.device,
              t1_us=100.0, t2_us=100.0)
@@ -208,7 +209,7 @@ class TestProcessWorkerPool:
         pool = ProcessWorkerPool(1)
         pool.start()
         try:
-            [response] = _run_and_kill(pool, [_slow_request("QAOA")])
+            [response] = _run_and_kill(pool, [_slow_request("QV")])
             assert response["status"] == "ok"
             assert pool.respawns == 1
         finally:
@@ -226,7 +227,7 @@ class TestWholePoolRebuild:
         pool.start()
         try:
             responses = _run_and_kill(
-                pool, [_slow_request("QAOA"), _slow_request("Ising")]
+                pool, [_slow_request("QV"), _slow_request("QPE")]
             )
             assert [r["status"] for r in responses] == ["ok", "ok"]
             assert pool.respawns == 1
@@ -239,7 +240,7 @@ class TestWholePoolRebuild:
         pool = ProcessWorkerPool(1)
         pool.start()
         try:
-            [response] = _run_and_kill(pool, [_slow_request("QAOA")])
+            [response] = _run_and_kill(pool, [_slow_request("QV")])
             assert response["status"] == "error"
             assert response["kind"] == "simulate"
             assert response["error"]["type"] == "WorkerCrashed"

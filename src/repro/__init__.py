@@ -33,7 +33,14 @@ Quickstart::
     print(baseline.fidelity, "->", ours.fidelity)
 """
 
-from repro.version import __version__
+import time as _time
+
+#: ``time.perf_counter()`` when this package began importing.  ``repro.cli``
+#: reports the time from here to a ready command line as the
+#: ``startup.imports`` span.
+IMPORT_STARTED = _time.perf_counter()
+
+from repro.version import __version__  # noqa: E402
 
 from repro.device import Device, grid, line, make_device
 from repro.pulses import GatePulse, PulseLibrary, build_library

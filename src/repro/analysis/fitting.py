@@ -9,7 +9,6 @@ process: an FFT peak seeds a nonlinear least-squares cosine fit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 def _fft_frequency_guess(times: np.ndarray, values: np.ndarray) -> float:
@@ -37,6 +36,8 @@ def _cosine(t: np.ndarray, freq: float, phase: float, amp: float, offset: float)
 
 def fit_oscillation_frequency(times: np.ndarray, values: np.ndarray) -> float:
     """Oscillation frequency (cycles per time unit) of a Ramsey fringe."""
+    from scipy.optimize import curve_fit
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) < 8:

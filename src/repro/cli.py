@@ -56,11 +56,17 @@ import sys
 import time
 from pathlib import Path
 
+import repro
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.telemetry import configure as _configure_logging
 from repro.telemetry import get_logger
 
 logger = get_logger(__name__)
+
+#: Seconds from the first line of ``repro/__init__.py`` to the end of this
+#: module's imports; ``main`` records it once per process as the
+#: ``startup.imports`` span, then clears it.
+_IMPORTS_S: float | None = time.perf_counter() - repro.IMPORT_STARTED
 
 SUBCOMMANDS = (
     "run", "sweep", "plan", "merge", "report", "list", "verify",
@@ -1101,6 +1107,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.telemetry:
         telemetry.enable(trace=args.telemetry)
+    global _IMPORTS_S
+    if telemetry.enabled() and _IMPORTS_S is not None:
+        telemetry.observe("startup.imports", _IMPORTS_S)
+        _IMPORTS_S = None
     if args.command == "report" and not args.store:
         logger.error("report requires --store PATH")
         return 2

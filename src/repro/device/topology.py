@@ -14,8 +14,6 @@ from collections.abc import Iterable
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from repro.telemetry import span
 
@@ -23,6 +21,25 @@ from repro.telemetry import span
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (sorted) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+def _neighbor_table(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """``(n, max(max_degree, 1))`` neighbour indices of each of ``n`` nodes.
+
+    ``us``/``vs`` are the endpoints of the undirected edges.  Rows shorter
+    than the widest are padded with the node's own index, so padding (and
+    an isolated node's whole row) never adds a neighbour.
+    """
+    ends = np.concatenate((us, vs))
+    others = np.concatenate((vs, us))
+    order = np.argsort(ends, kind="stable")
+    ends, others = ends[order], others[order]
+    degree = np.bincount(ends, minlength=n)
+    starts = np.cumsum(degree) - degree
+    width = max(int(degree.max(initial=0)), 1)
+    table = np.repeat(np.arange(n, dtype=np.intp)[:, None], width, axis=1)
+    table[ends, np.arange(len(ends)) - starts[ends]] = others
+    return table
 
 
 class Topology:
@@ -71,23 +88,38 @@ class Topology:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path lengths as a dense float matrix.
 
-        Computed with a vectorized BFS over the sparse adjacency matrix
-        (``scipy.sparse.csgraph``), which is orders of magnitude faster than
+        Computed with a numpy BFS from every source at once: each level
+        moves every frontier one coupling further by gathering rows through
+        the padded :func:`_neighbor_table`, so a level is
+        ``O(n^2 * max_degree)`` vectorized work and there are as many
+        levels as the diameter.  That is orders of magnitude faster than
         the ``networkx`` all-pairs dict at real-device sizes (127-433
-        qubits).  Unreachable pairs hold ``inf``.
+        qubits), and it keeps ``scipy.sparse`` out of every process that
+        only schedules.  Unreachable pairs hold ``inf``.
         """
         with span("sched.distance_matrix"):
             n = self.num_qubits
-            if not self.edges:
-                matrix = np.full((n, n), np.inf)
-                np.fill_diagonal(matrix, 0.0)
-                return matrix
-            us, vs = self.edge_arrays
-            data = np.ones(len(self.edges), dtype=np.int8)
-            adjacency = csr_matrix((data, (us, vs)), shape=(n, n))
-            return _csgraph_shortest_path(
-                adjacency, method="D", directed=False, unweighted=True
-            )
+            table = _neighbor_table(n, *self.edge_arrays)
+            matrix = np.full((n, n), np.inf)
+            np.fill_diagonal(matrix, 0.0)
+            # Column s is source s's search and row j is qubit j; gathering
+            # whole rows keeps every copy contiguous, and the result is
+            # symmetric, so the two may trade roles.
+            reached = np.eye(n, dtype=bool)
+            frontier = reached.copy()
+            level = 0
+            while True:
+                level += 1
+                # step[j, s]: some neighbour of j is on source s's frontier.
+                step = frontier[table[:, 0]]
+                for column in table.T[1:]:
+                    step |= frontier[column]
+                step &= ~reached
+                if not step.any():
+                    return matrix
+                matrix[step] = level
+                reached |= step
+                frontier = step
 
     @cached_property
     def is_connected(self) -> bool:

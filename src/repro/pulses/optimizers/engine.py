@@ -22,6 +22,10 @@ single stacked ``np.linalg.eigh`` diagonalizes all ``(num_steps, dim, dim)``
 of them at once, and the Loewner matrices and gradient factors ``G_{c,k}``
 for every step and channel come out of broadcast matmuls — the only
 remaining Python loop is the inherently sequential cumulative product.
+
+SciPy's L-BFGS-B is imported inside :meth:`ControlProblem.minimize`,
+on demand: sweeps and serve read pulses from the committed library and
+never optimize, so they never pay SciPy's import time and memory.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.pulses.shapes import fourier_basis
 from repro.telemetry import counter, span
@@ -333,6 +336,8 @@ class ControlProblem:
         gtol: float = 1e-14,
     ) -> OptimizationResult:
         """Run L-BFGS-B from ``theta0`` on a (value, grad) callable."""
+        from scipy.optimize import minimize
+
         history: list[float] = []
 
         def objective(theta: np.ndarray):

@@ -222,6 +222,27 @@ class TestTelemetryCLI:
         assert trace.exists()  # quiet mutes the message, not the trace
         assert "1 computed" in captured.out  # tables always print
 
+    def test_trace_records_startup_imports_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli, telemetry
+
+        monkeypatch.setattr(cli, "_IMPORTS_S", 0.25)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main([*self.SWEEP, "--telemetry", str(first)]) == 0
+        spans = {s["path"]: s for s in telemetry.read_trace(first)["spans"]}
+        assert spans["startup.imports"]["count"] == 1
+        assert spans["startup.imports"]["total_s"] == 0.25
+        telemetry.reset()
+        # The imports happened once, so a second command in the same
+        # process does not record them again.
+        assert main([*self.SWEEP, "--telemetry", str(second)]) == 0
+        paths = {s["path"] for s in telemetry.read_trace(second)["spans"]}
+        assert "startup.imports" not in paths
+        capsys.readouterr()
+        assert main(["stats", str(first)]) == 0
+        assert "startup.imports" in capsys.readouterr().out
+
     def test_telemetry_off_by_default(self, capsys):
         from repro import telemetry
 

@@ -12,11 +12,22 @@ import time
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaigns.spec import DeviceSpec
 from repro.circuits.circuit import Circuit
 from repro.cli import main as cli_main
-from repro.device import Topology, eagle, grid, heavy_hex, line, osprey
+from repro.device import (
+    Topology,
+    eagle,
+    grid,
+    heavy_hex,
+    ibmq_vigo,
+    line,
+    osprey,
+    ring,
+    star,
+)
 from repro.memo import MemoCache
 from repro.scheduling.distance import gate_distance, gate_distance_matrix
 from repro.scheduling.plan_cache import (
@@ -119,16 +130,75 @@ class TestScaleCircuits:
             bench_circuit(topology, "nope")
 
 
+def _networkx_distances(topology: Topology) -> np.ndarray:
+    """All-pairs BFS lengths from networkx, ``inf`` where unreachable."""
+    n = topology.num_qubits
+    matrix = np.full((n, n), np.inf)
+    for u, lengths in nx.all_pairs_shortest_path_length(topology.graph):
+        for v, length in lengths.items():
+            matrix[u, v] = length
+    return matrix
+
+
+def _graph(num_nodes: int, edges) -> Topology:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_nodes))
+    graph.add_edges_from(edges)
+    return Topology(graph)
+
+
+@st.composite
+def _random_graphs(draw):
+    n = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    return _graph(n, [(u, v) for u, v in edges if u != v])
+
+
 class TestDistanceMatrix:
     @pytest.mark.parametrize(
-        "topology", [grid(3, 4), heavy_hex(3), line(5)], ids=["grid", "hex", "line"]
+        "topology",
+        [
+            grid(3, 4), heavy_hex(3), line(5), grid(20, 20), line(1),
+            ring(7), star(9), ibmq_vigo(), heavy_hex(5), eagle(), osprey(),
+        ],
+        ids=[
+            "grid", "hex", "line", "grid20x20", "line1", "ring7", "star9",
+            "vigo", "hummingbird", "eagle", "osprey",
+        ],
     )
     def test_matches_networkx(self, topology):
+        matrix = topology.distance_matrix
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, _networkx_distances(topology))
         expected = dict(nx.all_pairs_shortest_path_length(topology.graph))
         n = topology.num_qubits
         for u in range(n):
             for v in range(n):
                 assert topology.distance(u, v) == expected[u][v]
+
+    @pytest.mark.parametrize(
+        "num_nodes,edges",
+        [
+            (6, [(0, 1), (1, 2), (3, 4)]),  # two components and a lone node
+            (5, [(0, 1), (1, 2), (2, 3)]),  # one isolated node
+            (4, []),  # no couplings at all
+        ],
+        ids=["disconnected", "isolated-node", "edgeless"],
+    )
+    def test_equals_networkx_off_connected_graphs(self, num_nodes, edges):
+        topology = _graph(num_nodes, edges)
+        matrix = topology.distance_matrix
+        assert np.isinf(matrix).any()
+        assert np.array_equal(matrix, _networkx_distances(topology))
+        assert not topology.is_connected
+
+    @given(_random_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_networkx_on_random_graphs(self, topology):
+        assert np.array_equal(
+            topology.distance_matrix, _networkx_distances(topology)
+        )
 
     def test_disconnected_and_out_of_range(self):
         graph = nx.Graph()

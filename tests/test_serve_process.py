@@ -183,15 +183,20 @@ def _slow_request(bench: str) -> SimulateRequest:
 
 def _run_and_kill(pool, requests, delay_s: float = 0.3) -> list:
     """Serve ``requests`` concurrently on ``pool`` and SIGKILL one worker
-    ``delay_s`` in; returns the responses in request order."""
+    ``delay_s`` in; returns the responses in request order.
 
-    async def kill():
-        await asyncio.sleep(delay_s)
-        os.kill(pool.pids()[0], signal.SIGKILL)
+    Fails if any request had already been answered when the kill fired:
+    the kill tests would then no longer test a mid-request kill.
+    """
 
     async def main():
-        *responses, _ = await asyncio.gather(
-            *(pool.run(request) for request in requests), kill()
+        tasks = [asyncio.ensure_future(pool.run(r)) for r in requests]
+        await asyncio.sleep(delay_s)
+        finished = [task.done() for task in tasks]
+        os.kill(pool.pids()[0], signal.SIGKILL)
+        responses = await asyncio.gather(*tasks)
+        assert not any(finished), (
+            f"requests answered before the kill at {delay_s} s: {finished}"
         )
         return responses
 
